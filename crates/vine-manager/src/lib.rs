@@ -19,19 +19,17 @@
 //! their bookkeeping immediately; the execution substrate (simulator or
 //! live runtime) attaches time and I/O and feeds back completion events.
 //!
-//! For federated deployments, the same core embeds as a [`Shard`] — N of
-//! them run side by side, each owning a worker partition — behind a
-//! [`ShardRouter`] front-end that hashes each submission's
-//! function-context digest onto a virtual-node ring of shards ([`router`]).
+//! For federated deployments, N managers run side by side as scheduling
+//! shards, each owning a worker partition, behind a [`ShardRouter`]
+//! front-end that hashes each submission's function-context digest onto a
+//! virtual-node ring of shards ([`router`]).
 
 pub mod index;
 pub mod manager;
 pub mod reference;
 pub mod ring;
 pub mod router;
-pub mod shard;
 
 pub use manager::{Decision, Manager, Placement};
 pub use ring::HashRing;
 pub use router::{ShardRouter, SHARD_VNODES};
-pub use shard::{Shard, ShardLoad};

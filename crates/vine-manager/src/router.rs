@@ -11,8 +11,8 @@
 //!
 //! This type is the pure state machine both substrates share: the
 //! simulator drives it directly (`vine_sim::sharded`), and the live
-//! `repro route` process wraps it in TCP framing (`vine-proto`'s
-//! `Route`/`ShardJoin`/`ShardLeave`/`ShardStats` messages).
+//! router (`vine_runtime::federation`) serves it over the epoll reactor
+//! (`vine-proto`'s `Route`/`ShardJoin`/`ShardLeave`/`ShardStats` messages).
 
 use std::collections::BTreeMap;
 
@@ -102,27 +102,33 @@ impl ShardRouter {
             .insert(spec.name.clone(), spec.routing_digest());
     }
 
-    /// The ring position a unit routes from: the registered
-    /// function-context digest for calls, the task name for stateless
-    /// tasks (same-named tasks share cacheable inputs, so they co-locate).
-    fn routing_point(&self, unit: &WorkUnit) -> u64 {
-        let digest = match unit {
-            WorkUnit::Call(c) => self
-                .digests
-                .get(&c.library)
-                .copied()
-                .unwrap_or_else(|| ContentHash::of_str(&c.library)),
-            WorkUnit::Task(t) => ContentHash::of_str(&t.name),
-        };
-        (digest.0 >> 64) as u64
-    }
-
-    /// Which shard a unit routes to (None with no shards joined).
-    pub fn shard_for_unit(&self, unit: &WorkUnit) -> Option<ShardId> {
+    /// The shard owning a routing digest's ring position.
+    fn shard_at(&self, digest: ContentHash) -> Option<ShardId> {
         self.ring
-            .walk_from(self.routing_point(unit))
+            .walk_from((digest.0 >> 64) as u64)
             .next()
             .map(|w| ShardId(w.0))
+    }
+
+    /// Which shard every invocation of `library` routes to: the one its
+    /// registered function-context digest hashes to.
+    pub fn shard_for_library(&self, library: &str) -> Option<ShardId> {
+        let digest = self
+            .digests
+            .get(library)
+            .copied()
+            .unwrap_or_else(|| ContentHash::of_str(library));
+        self.shard_at(digest)
+    }
+
+    /// Which shard a unit routes to (None with no shards joined): its
+    /// library's shard for calls, the task name's for stateless tasks
+    /// (same-named tasks share cacheable inputs, so they co-locate).
+    pub fn shard_for_unit(&self, unit: &WorkUnit) -> Option<ShardId> {
+        match unit {
+            WorkUnit::Call(c) => self.shard_for_library(&c.library),
+            WorkUnit::Task(t) => self.shard_at(ContentHash::of_str(&t.name)),
+        }
     }
 
     /// Which shard owns a worker. Workers ride the same consistent ring

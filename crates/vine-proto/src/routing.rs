@@ -1,15 +1,15 @@
 //! The router ↔ shard protocol plane (federated sharding).
 //!
-//! A federated deployment runs N scheduling shards — each a
-//! `vine_manager::Shard` embedded in its own serve process, owning its
-//! own workers — behind one thin routing front-end. The front-end speaks
-//! this plane: shards announce themselves with [`ShardToRouter::ShardJoin`],
+//! A federated deployment runs N scheduling shards — each a manager in
+//! its own serve process, owning its own workers — behind one thin
+//! routing front-end. The front-end speaks this plane: shards announce themselves with [`ShardToRouter::ShardJoin`],
 //! the router forwards each submission with [`RouterToShard::Route`] to
 //! the shard its function-context digest hashes to, results flow back as
 //! [`ShardToRouter::UnitDone`], and load reports ride
 //! [`ShardToRouter::ShardStats`]. Like the worker plane, the messages are
 //! substrate-neutral serde types; the live path frames them with
-//! [`crate::framing`].
+//! [`crate::framing`], and the router serves them from the same epoll
+//! reactor that serves the worker plane (`vine_runtime::federation`).
 
 use serde::{Deserialize, Serialize};
 use vine_core::ids::ShardId;
@@ -43,9 +43,9 @@ pub enum ShardToRouter {
     ShardStats { stats: ShardStats },
 }
 
-/// Per-shard load and wire aggregates — the scheduling counters from
-/// `vine_manager::ShardLoad` plus the shard's worker-transport totals,
-/// rendered in the `repro route` stderr table.
+/// Per-shard load and wire aggregates — the shard runtime's scheduling
+/// counters plus its worker-transport totals, rendered in the `repro
+/// route` stderr table.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardStats {
     pub shard: ShardId,

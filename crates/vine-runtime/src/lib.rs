@@ -27,7 +27,11 @@
 //! substrate, the TCP backend ([`reactor`]) frames the same [`vine_proto`]
 //! messages over sockets to workers in other OS processes — one epoll
 //! reactor thread serving the whole fleet.
+//!
+//! [`federation`] runs N such runtimes as scheduling shards behind a
+//! router, which serves its shard connections from the same reactor.
 
+pub mod federation;
 pub mod library_host;
 pub mod reactor;
 pub mod runtime;

@@ -1,5 +1,5 @@
-//! The TCP manager backend: one epoll reactor thread serving the whole
-//! worker fleet.
+//! The TCP hub: one epoll reactor thread serving every peer of one
+//! message plane — the manager's worker fleet, or a router's shards.
 //!
 //! The first TCP backend was thread-per-connection: a sleep-polled accept
 //! loop, one OS thread + `BufReader` per worker, and a global stream map
@@ -43,12 +43,22 @@
 //! [`TransportEvent::Left`] and feeds the same requeue path. The wire
 //! format and the worker side ([`crate::transport::run_tcp_worker`]) are
 //! untouched: old workers dial new managers.
+//!
+//! The machine is generic over its message plane ([`Plane`]): which type
+//! peers send, how their first frame admits them, what the hub broadcasts
+//! when it drains, and which events its owner receives. [`TcpTransport`]
+//! is the hub over the worker plane ([`WorkerPlane`]); the federation
+//! router serves its shards through the same hub over the routing plane
+//! ([`crate::federation::RoutingPlane`]), so both get the handshake
+//! deadline, per-peer backpressure and traffic metering from one
+//! implementation.
 
 use crate::transport::{
     RecvError, Transport, TransportEvent, TransportStats, WorkerTransportStats,
 };
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use epoll::{Epoll, Event, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -61,17 +71,82 @@ use vine_core::ids::WorkerId;
 use vine_core::{Result, VineError};
 use vine_proto::{encode_frame, Frame, FrameDecoder, ManagerToWorker, WorkerToManager};
 
-/// Tuning knobs of the reactor backend. The defaults serve a real fleet;
-/// tests shrink them to provoke the edge paths quickly.
+/// One message plane a [`Hub`] serves. The reactor is the same for every
+/// plane; a plane fixes only the wire types, the handshake, the farewell
+/// broadcast at drain, and the events its owner receives.
+pub trait Plane: 'static {
+    /// A peer's identity, fixed at admission and never reused.
+    type Id: Copy + Ord + std::fmt::Display + Send + Sync + 'static;
+    /// What peers send the hub.
+    type Up: Deserialize;
+    /// What the hub sends peers.
+    type Down: Serialize;
+    /// What the hub's owner receives.
+    type Event: Send + 'static;
+
+    /// Handshake: a connection's first frame. `Some` admits the peer under
+    /// an id (`seq` counts earlier admissions) together with the event
+    /// announcing it; `None` rejects the connection. An id already
+    /// admitted once is rejected too.
+    fn admit(first: Self::Up, seq: u32) -> Option<(Self::Id, Self::Event)>;
+    /// The frame queued to a peer the moment it is admitted, if any.
+    fn welcome(peer: Self::Id) -> Option<Self::Down>;
+    /// The frame broadcast to every admitted peer when the hub drains.
+    fn farewell() -> Self::Down;
+    /// An admitted peer sent a message.
+    fn message(peer: Self::Id, msg: Self::Up) -> Self::Event;
+    /// An admitted peer's connection is gone.
+    fn left(peer: Self::Id) -> Self::Event;
+}
+
+/// The manager ↔ worker plane (§3.5): `Join` admits a worker under the
+/// next sequential [`WorkerId`] and is answered with `Welcome`; drain
+/// broadcasts `Shutdown`.
+pub enum WorkerPlane {}
+
+impl Plane for WorkerPlane {
+    type Id = WorkerId;
+    type Up = WorkerToManager;
+    type Down = ManagerToWorker;
+    type Event = TransportEvent;
+
+    fn admit(first: WorkerToManager, seq: u32) -> Option<(WorkerId, TransportEvent)> {
+        // §3.5 step 1: the first frame must be Join
+        let WorkerToManager::Join { resources } = first else {
+            return None;
+        };
+        let worker = WorkerId(seq);
+        Some((worker, TransportEvent::Joined { worker, resources }))
+    }
+
+    fn welcome(worker: WorkerId) -> Option<ManagerToWorker> {
+        Some(ManagerToWorker::Welcome { worker })
+    }
+
+    fn farewell() -> ManagerToWorker {
+        ManagerToWorker::Shutdown
+    }
+
+    fn message(worker: WorkerId, msg: WorkerToManager) -> TransportEvent {
+        TransportEvent::Message { worker, msg }
+    }
+
+    fn left(worker: WorkerId) -> TransportEvent {
+        TransportEvent::Left { worker }
+    }
+}
+
+/// Tuning knobs of the reactor. The defaults serve a real fleet; tests
+/// shrink them to provoke the edge paths quickly.
 #[derive(Clone, Debug)]
 pub struct TcpConfig {
-    /// How long a freshly accepted connection may sit without sending
-    /// `Join` before it is closed and counted as rejected.
+    /// How long a freshly accepted connection may sit without sending its
+    /// handshake frame before it is closed and counted as rejected.
     pub handshake_timeout: Duration,
-    /// Outbound queue bound per worker, in bytes. Sends beyond it block
-    /// the caller (that worker only) until the reactor drains the queue.
+    /// Outbound queue bound per peer, in bytes. Sends beyond it block
+    /// the caller (that peer only) until the reactor drains the queue.
     pub max_queued_bytes: usize,
-    /// How long a send may wait on a full queue before the worker is
+    /// How long a send may wait on a full queue before the peer is
     /// declared lost.
     pub send_timeout: Duration,
 }
@@ -86,10 +161,10 @@ impl Default for TcpConfig {
     }
 }
 
-/// Per-worker accounting shared between the sending side (backpressure,
+/// Per-peer accounting shared between the sending side (backpressure,
 /// stats) and the reactor (drain notifications). All counters are
 /// monotonic over the connection's life and survive its death, so stats
-/// cover departed workers too.
+/// cover departed peers too.
 struct Gauge {
     queued_bytes: AtomicUsize,
     queue_hwm_bytes: AtomicUsize,
@@ -132,7 +207,7 @@ impl Gauge {
         self.drained.notify_all();
     }
 
-    /// Mark the worker gone and wake parked senders so they fail fast.
+    /// Mark the peer gone and wake parked senders so they fail fast.
     fn kill(&self) {
         self.alive.store(false, Ordering::Relaxed);
         let _g = self.drain_lock.lock().unwrap();
@@ -140,52 +215,55 @@ impl Gauge {
     }
 }
 
-/// What the manager thread asks the reactor to do.
-enum Command {
-    /// Append pre-encoded bytes to one worker's outbound queue.
-    Send { worker: WorkerId, bytes: Arc<[u8]> },
-    /// Sever one worker's connection.
-    Disconnect(WorkerId),
-    /// Broadcast `Shutdown`, drain, close everything, exit.
+/// What the owning thread asks the reactor to do.
+enum Command<Id> {
+    /// Append pre-encoded bytes to one peer's outbound queue.
+    Send { peer: Id, bytes: Arc<[u8]> },
+    /// Sever one peer's connection.
+    Disconnect(Id),
+    /// Broadcast the plane's farewell, drain, close everything, exit.
     Shutdown,
 }
 
-/// State shared between the [`TcpTransport`] handle and its reactor.
-struct SharedState {
-    gauges: Mutex<BTreeMap<WorkerId, Arc<Gauge>>>,
-    commands: Mutex<VecDeque<Command>>,
+/// State shared between a [`Hub`] handle and its reactor.
+struct SharedState<Id> {
+    gauges: Mutex<BTreeMap<Id, Arc<Gauge>>>,
+    commands: Mutex<VecDeque<Command<Id>>>,
     wake: WakeFd,
     handshake_rejects: AtomicU64,
 }
 
-impl SharedState {
-    fn push(&self, cmd: Command) {
+impl<Id> SharedState<Id> {
+    fn push(&self, cmd: Command<Id>) {
         self.commands.lock().unwrap().push_back(cmd);
         self.wake.wake();
     }
 }
 
-/// The manager side of the TCP backend: bind once, let workers dial in,
-/// serve thousands of them from one reactor thread.
-pub struct TcpTransport {
-    shared: Arc<SharedState>,
-    events: Receiver<TransportEvent>,
+/// The listening side of one message plane: bind once, let peers dial
+/// in, serve thousands of them from one reactor thread.
+pub struct Hub<P: Plane> {
+    shared: Arc<SharedState<P::Id>>,
+    events: Receiver<P::Event>,
     /// Held so the event channel outlives transient disconnect storms.
-    _events_tx: Sender<TransportEvent>,
+    _events_tx: Sender<P::Event>,
     local_addr: SocketAddr,
     cfg: TcpConfig,
     reactor: Option<JoinHandle<()>>,
 }
 
-impl TcpTransport {
+/// The manager side of the TCP backend: the hub over the worker plane.
+pub type TcpTransport = Hub<WorkerPlane>;
+
+impl<P: Plane> Hub<P> {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and start
-    /// admitting workers with default tuning.
-    pub fn listen(addr: impl ToSocketAddrs) -> std::io::Result<TcpTransport> {
-        TcpTransport::listen_with(addr, TcpConfig::default())
+    /// admitting peers with default tuning.
+    pub fn listen(addr: impl ToSocketAddrs) -> std::io::Result<Hub<P>> {
+        Hub::listen_with(addr, TcpConfig::default())
     }
 
     /// Bind with explicit reactor tuning.
-    pub fn listen_with(addr: impl ToSocketAddrs, cfg: TcpConfig) -> std::io::Result<TcpTransport> {
+    pub fn listen_with(addr: impl ToSocketAddrs, cfg: TcpConfig) -> std::io::Result<Hub<P>> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -199,13 +277,13 @@ impl TcpTransport {
         let (etx, erx) = crossbeam::channel::unbounded();
 
         let reactor = {
-            let mut r = Reactor::new(listener, Arc::clone(&shared), etx.clone(), cfg.clone())?;
+            let mut r = Reactor::<P>::new(listener, Arc::clone(&shared), etx.clone(), cfg.clone())?;
             std::thread::Builder::new()
                 .name("vine-reactor".into())
                 .spawn(move || r.run())?
         };
 
-        Ok(TcpTransport {
+        Ok(Hub {
             shared,
             events: erx,
             _events_tx: etx,
@@ -215,24 +293,29 @@ impl TcpTransport {
         })
     }
 
-    /// The address workers should dial (resolves `:0` bindings).
+    /// The address peers should dial (resolves `:0` bindings).
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
     }
 
-    /// Queue pre-encoded bytes to one worker, blocking on its (and only
-    /// its) backpressure gauge.
-    fn send_bytes(&self, worker: WorkerId, bytes: Arc<[u8]>) -> Result<()> {
-        let gauge = self
-            .shared
-            .gauges
-            .lock()
-            .unwrap()
-            .get(&worker)
-            .cloned()
-            .ok_or(VineError::WorkerLost(worker))?;
+    /// Encode `msg` and queue it to one peer, blocking while that peer's
+    /// outbound queue is full. Fails if the peer is (or is declared) lost.
+    pub fn send_to(&self, peer: P::Id, msg: &P::Down) -> Result<()> {
+        let bytes =
+            encode_frame(msg).map_err(|e| VineError::Protocol(format!("encoding frame: {e}")))?;
+        self.send_bytes(peer, Arc::from(bytes.into_boxed_slice()))
+            .then_some(())
+            .ok_or_else(|| VineError::Protocol(format!("peer {peer} lost")))
+    }
+
+    /// Queue pre-encoded bytes to one peer, blocking on its (and only its)
+    /// backpressure gauge. False means the peer is unreachable.
+    fn send_bytes(&self, peer: P::Id, bytes: Arc<[u8]>) -> bool {
+        let Some(gauge) = self.shared.gauges.lock().unwrap().get(&peer).cloned() else {
+            return false;
+        };
         if !gauge.alive.load(Ordering::Relaxed) {
-            return Err(VineError::WorkerLost(worker));
+            return false;
         }
 
         let len = bytes.len();
@@ -240,7 +323,7 @@ impl TcpTransport {
         let mut guard = gauge.drain_lock.lock().unwrap();
         loop {
             if !gauge.alive.load(Ordering::Relaxed) {
-                return Err(VineError::WorkerLost(worker));
+                return false;
             }
             let queued = gauge.queued_bytes.load(Ordering::Relaxed);
             // an empty queue always admits one frame, even an oversized
@@ -251,12 +334,12 @@ impl TcpTransport {
             }
             let now = Instant::now();
             if now >= deadline {
-                // the worker has not drained its queue within the send
+                // the peer has not drained its queue within the send
                 // budget: declare it lost so its in-flight work requeues
                 // elsewhere, and let the reactor reap the connection
                 drop(guard);
-                self.shared.push(Command::Disconnect(worker));
-                return Err(VineError::WorkerLost(worker));
+                self.shared.push(Command::Disconnect(peer));
+                return false;
             }
             let (g, _) = gauge.drained.wait_timeout(guard, deadline - now).unwrap();
             guard = g;
@@ -264,8 +347,37 @@ impl TcpTransport {
         drop(guard);
 
         gauge.charge(len);
-        self.shared.push(Command::Send { worker, bytes });
-        Ok(())
+        self.shared.push(Command::Send { peer, bytes });
+        true
+    }
+
+    /// Block for the next event, up to `timeout`.
+    pub fn next_event(&self, timeout: Duration) -> std::result::Result<P::Event, RecvError> {
+        match self.events.recv_timeout(timeout) {
+            Ok(ev) => Ok(ev),
+            Err(RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
+            Err(RecvTimeoutError::Disconnected) => Err(RecvError::Closed),
+        }
+    }
+
+    /// Sever one peer; its [`Plane::left`] event follows.
+    pub fn disconnect_peer(&self, peer: P::Id) {
+        if let Some(g) = self.shared.gauges.lock().unwrap().get(&peer) {
+            g.kill();
+        }
+        self.shared.push(Command::Disconnect(peer));
+    }
+
+    /// Broadcast the plane's farewell, drain every queue, close every
+    /// socket and stop the reactor. Idempotent.
+    pub fn close(&mut self) {
+        if let Some(t) = self.reactor.take() {
+            self.shared.push(Command::Shutdown);
+            let _ = t.join();
+            for g in self.shared.gauges.lock().unwrap().values() {
+                g.kill();
+            }
+        }
     }
 }
 
@@ -274,23 +386,23 @@ impl Transport for TcpTransport {
         let bytes =
             encode_frame(&msg).map_err(|e| VineError::Protocol(format!("encoding frame: {e}")))?;
         self.send_bytes(worker, Arc::from(bytes.into_boxed_slice()))
+            .then_some(())
+            .ok_or(VineError::WorkerLost(worker))
     }
 
     fn send_frame(&mut self, worker: WorkerId, frame: &Frame) -> Result<()> {
         // the serialize-once path: the frame was encoded by the caller,
         // possibly for many recipients; this enqueues a shared reference
         self.send_bytes(worker, Arc::clone(frame.bytes()))
+            .then_some(())
+            .ok_or(VineError::WorkerLost(worker))
     }
 
     fn recv_timeout(
         &mut self,
         timeout: Duration,
     ) -> std::result::Result<TransportEvent, RecvError> {
-        match self.events.recv_timeout(timeout) {
-            Ok(ev) => Ok(ev),
-            Err(RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
-            Err(RecvTimeoutError::Disconnected) => Err(RecvError::Closed),
-        }
+        self.next_event(timeout)
     }
 
     fn try_recv(&mut self) -> Option<TransportEvent> {
@@ -298,20 +410,11 @@ impl Transport for TcpTransport {
     }
 
     fn disconnect(&mut self, worker: WorkerId) {
-        if let Some(g) = self.shared.gauges.lock().unwrap().get(&worker) {
-            g.kill();
-        }
-        self.shared.push(Command::Disconnect(worker));
+        self.disconnect_peer(worker);
     }
 
     fn shutdown(&mut self) {
-        if let Some(t) = self.reactor.take() {
-            self.shared.push(Command::Shutdown);
-            let _ = t.join();
-            for g in self.shared.gauges.lock().unwrap().values() {
-                g.kill();
-            }
-        }
+        self.close();
     }
 
     fn stats(&self) -> TransportStats {
@@ -338,9 +441,9 @@ impl Transport for TcpTransport {
     }
 }
 
-impl Drop for TcpTransport {
+impl<P: Plane> Drop for Hub<P> {
     fn drop(&mut self) {
-        self.shutdown();
+        self.close();
     }
 }
 
@@ -360,15 +463,15 @@ const MAX_READS_PER_EVENT: usize = 16;
 /// Frames coalesced into one vectored write.
 const MAX_IOVECS: usize = 64;
 
-/// How long shutdown waits for outbound queues (the `Shutdown` broadcast
+/// How long shutdown waits for outbound queues (the farewell broadcast
 /// included) to drain before closing sockets anyway.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// One live connection owned by the reactor.
-struct Conn {
+struct Conn<Id> {
     stream: TcpStream,
-    /// `None` until the `Join` handshake lands.
-    worker: Option<WorkerId>,
+    /// `None` until the handshake frame lands.
+    peer: Option<Id>,
     gauge: Option<Arc<Gauge>>,
     decoder: FrameDecoder,
     /// Outbound frames; the front one may be partially written.
@@ -383,38 +486,40 @@ struct Conn {
 
 /// Why a connection is being closed — controls which events surface.
 enum Close {
-    /// A joined worker is gone: emit [`TransportEvent::Left`].
+    /// An admitted peer is gone: emit [`Plane::left`].
     Lost,
-    /// Handshake never completed (timeout or a non-`Join` first message):
-    /// count the rejection, emit nothing.
+    /// Handshake never completed (timeout, or a first message the plane
+    /// refused): count the rejection, emit nothing.
     Rejected,
     /// Deliberate teardown (shutdown drain): emit nothing.
     Quiet,
 }
 
-struct Reactor {
+struct Reactor<P: Plane> {
     ep: Epoll,
     listener: TcpListener,
-    shared: Arc<SharedState>,
-    events: Sender<TransportEvent>,
+    shared: Arc<SharedState<P::Id>>,
+    events: Sender<P::Event>,
     cfg: TcpConfig,
-    conns: Vec<Option<Conn>>,
+    conns: Vec<Option<Conn<P::Id>>>,
     free: Vec<usize>,
-    by_worker: BTreeMap<WorkerId, usize>,
-    /// Connections still waiting for `Join` (guards the deadline scan).
+    by_peer: BTreeMap<P::Id, usize>,
+    /// Connections still waiting for their handshake (guards the
+    /// deadline scan).
     handshaking: usize,
-    next_worker: u32,
+    /// Peers admitted so far (the plane's `seq`).
+    admitted: u32,
     /// Set once `Shutdown` arrives: drain until this deadline, then exit.
     drain_until: Option<Instant>,
 }
 
-impl Reactor {
+impl<P: Plane> Reactor<P> {
     fn new(
         listener: TcpListener,
-        shared: Arc<SharedState>,
-        events: Sender<TransportEvent>,
+        shared: Arc<SharedState<P::Id>>,
+        events: Sender<P::Event>,
         cfg: TcpConfig,
-    ) -> std::io::Result<Reactor> {
+    ) -> std::io::Result<Reactor<P>> {
         let ep = Epoll::new()?;
         ep.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
         ep.add(shared.wake.as_raw_fd(), EPOLLIN, TOKEN_WAKE)?;
@@ -426,9 +531,9 @@ impl Reactor {
             cfg,
             conns: Vec::new(),
             free: Vec::new(),
-            by_worker: BTreeMap::new(),
+            by_peer: BTreeMap::new(),
             handshaking: 0,
-            next_worker: 0,
+            admitted: 0,
             drain_until: None,
         })
     }
@@ -486,7 +591,7 @@ impl Reactor {
     fn accept_burst(&mut self) {
         loop {
             match self.listener.accept() {
-                Ok((stream, _peer)) => {
+                Ok((stream, _addr)) => {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
@@ -508,7 +613,7 @@ impl Reactor {
                     }
                     self.conns[slot] = Some(Conn {
                         stream,
-                        worker: None,
+                        peer: None,
                         gauge: None,
                         decoder: FrameDecoder::new(),
                         outq: VecDeque::new(),
@@ -529,7 +634,7 @@ impl Reactor {
             let cmd = self.shared.commands.lock().unwrap().pop_front();
             let Some(cmd) = cmd else { break };
             match cmd {
-                Command::Send { worker, bytes } => match self.by_worker.get(&worker).copied() {
+                Command::Send { peer, bytes } => match self.by_peer.get(&peer).copied() {
                     Some(slot) => {
                         if let Some(conn) = self.conns[slot].as_mut() {
                             conn.outq.push_back(bytes);
@@ -541,13 +646,13 @@ impl Reactor {
                     None => {
                         // the connection died between enqueue and here:
                         // un-charge the gauge so parked senders move on
-                        if let Some(g) = self.shared.gauges.lock().unwrap().get(&worker) {
+                        if let Some(g) = self.shared.gauges.lock().unwrap().get(&peer) {
                             g.release(bytes.len());
                         }
                     }
                 },
-                Command::Disconnect(worker) => {
-                    if let Some(slot) = self.by_worker.get(&worker).copied() {
+                Command::Disconnect(peer) => {
+                    if let Some(slot) = self.by_peer.get(&peer).copied() {
                         self.close(slot, Close::Lost);
                     }
                 }
@@ -556,21 +661,23 @@ impl Reactor {
         }
     }
 
-    /// `Shutdown` broadcast: encode the frame **once**, queue the same
-    /// bytes to every joined worker, then drain until queues empty or the
+    /// Farewell broadcast: encode the frame **once**, queue the same
+    /// bytes to every admitted peer, then drain until queues empty or the
     /// deadline passes. Handshaking connections are closed immediately.
     fn begin_drain(&mut self) {
         if self.drain_until.is_some() {
             return;
         }
         self.drain_until = Some(Instant::now() + DRAIN_TIMEOUT);
-        let frame = Frame::encode_once(ManagerToWorker::Shutdown).expect("shutdown encodes");
+        let frame: Arc<[u8]> = encode_frame(&P::farewell())
+            .expect("farewell encodes")
+            .into();
         for slot in 0..self.conns.len() {
             let Some(conn) = self.conns[slot].as_mut() else {
                 continue;
             };
-            if conn.worker.is_none() {
-                // never completed the handshake and the fleet is going
+            if conn.peer.is_none() {
+                // never completed the handshake and the hub is going
                 // away: not a protocol violation, just a quiet close
                 self.close(slot, Close::Quiet);
                 continue;
@@ -578,7 +685,7 @@ impl Reactor {
             if let Some(g) = &conn.gauge {
                 g.charge(frame.len());
             }
-            conn.outq.push_back(Arc::clone(frame.bytes()));
+            conn.outq.push_back(Arc::clone(&frame));
             self.flush(slot);
         }
     }
@@ -631,7 +738,7 @@ impl Reactor {
             match conn.stream.read(&mut scratch) {
                 Ok(0) => {
                     // peer closed; whether it is a crash or a graceful
-                    // leave, the worker is gone
+                    // leave, the peer is gone
                     self.close(slot, Close::Lost);
                     return;
                 }
@@ -661,28 +768,32 @@ impl Reactor {
             let Some(conn) = self.conns[slot].as_mut() else {
                 return false;
             };
-            match conn.decoder.decode::<WorkerToManager>() {
+            match conn.decoder.decode::<P::Up>() {
                 Ok(None) => return true,
-                Ok(Some(msg)) => match conn.worker {
-                    None => {
-                        // §3.5 step 1: the first frame must be Join
-                        let WorkerToManager::Join { resources } = msg else {
+                Ok(Some(msg)) => match conn.peer {
+                    // ids are never reused: a taken one fails the handshake
+                    None => match P::admit(msg, self.admitted) {
+                        Some((peer, joined))
+                            if !self.shared.gauges.lock().unwrap().contains_key(&peer) =>
+                        {
+                            self.admit(slot, peer, joined)
+                        }
+                        _ => {
                             self.close(slot, Close::Rejected);
                             return false;
-                        };
-                        self.admit(slot, resources);
-                    }
-                    Some(worker) => {
+                        }
+                    },
+                    Some(peer) => {
                         if let Some(g) = &conn.gauge {
                             g.frames_in.fetch_add(1, Ordering::Relaxed);
                         }
-                        let _ = self.events.send(TransportEvent::Message { worker, msg });
+                        let _ = self.events.send(P::message(peer, msg));
                     }
                 },
                 Err(_) => {
                     // unframeable garbage or an oversized header: the
                     // stream cannot be resynchronized
-                    let rejected = conn.worker.is_none();
+                    let rejected = conn.peer.is_none();
                     self.close(
                         slot,
                         if rejected {
@@ -697,35 +808,32 @@ impl Reactor {
         }
     }
 
-    /// Admit a handshaking connection: assign a [`WorkerId`], publish its
-    /// gauge, queue `Welcome`, announce the join.
-    fn admit(&mut self, slot: usize, resources: vine_core::resources::Resources) {
-        let worker = WorkerId(self.next_worker);
-        self.next_worker += 1;
+    /// Admit a handshaking connection as `peer`: publish its gauge, queue
+    /// the plane's welcome, announce the join.
+    fn admit(&mut self, slot: usize, peer: P::Id, joined: P::Event) {
+        self.admitted += 1;
         let gauge = Arc::new(Gauge::new());
-        // the gauge must be visible before Joined is observable, so the
-        // first send the runtime issues finds it
+        // the gauge must be visible before the join is observable, so the
+        // first send the owner issues finds it
         self.shared
             .gauges
             .lock()
             .unwrap()
-            .insert(worker, Arc::clone(&gauge));
-
-        let welcome = encode_frame(&ManagerToWorker::Welcome { worker }).expect("welcome encodes");
-        let welcome: Arc<[u8]> = Arc::from(welcome.into_boxed_slice());
-        gauge.charge(welcome.len());
+            .insert(peer, Arc::clone(&gauge));
 
         let conn = self.conns[slot].as_mut().expect("admitting a live conn");
-        conn.worker = Some(worker);
+        if let Some(welcome) = P::welcome(peer) {
+            let welcome: Arc<[u8]> = encode_frame(&welcome).expect("welcome encodes").into();
+            gauge.charge(welcome.len());
+            conn.outq.push_back(welcome);
+        }
+        conn.peer = Some(peer);
         conn.gauge = Some(gauge);
         conn.handshake_deadline = None;
         self.handshaking -= 1;
-        conn.outq.push_back(welcome);
-        self.by_worker.insert(worker, slot);
+        self.by_peer.insert(peer, slot);
 
-        let _ = self
-            .events
-            .send(TransportEvent::Joined { worker, resources });
+        let _ = self.events.send(joined);
         self.flush(slot);
     }
 
@@ -818,11 +926,11 @@ impl Reactor {
         if conn.handshake_deadline.is_some() {
             self.handshaking -= 1;
         }
-        if let Some(worker) = conn.worker {
-            self.by_worker.remove(&worker);
+        if let Some(peer) = conn.peer {
+            self.by_peer.remove(&peer);
             if let Some(g) = &conn.gauge {
                 // un-charge whatever never made it to the wire, then mark
-                // the worker dead so parked senders fail fast
+                // the peer dead so parked senders fail fast
                 let undelivered: usize =
                     conn.outq.iter().map(|f| f.len()).sum::<usize>() - conn.out_off;
                 if undelivered > 0 {
@@ -831,7 +939,7 @@ impl Reactor {
                 g.kill();
             }
             if matches!(why, Close::Lost) {
-                let _ = self.events.send(TransportEvent::Left { worker });
+                let _ = self.events.send(P::left(peer));
             }
         } else if matches!(why, Close::Rejected) {
             self.shared

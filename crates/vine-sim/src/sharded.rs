@@ -126,7 +126,6 @@ pub fn simulate_sharded(
         .into_par_iter()
         .map(|(s, ws, us)| {
             let mut sub = cfg.clone();
-            sub.shard = ShardId(s as u32);
             sub.workers = ws.len();
             // decorrelate jitter streams across shards; shard 0 of a
             // federation of one keeps the fleet seed (bit-identity)

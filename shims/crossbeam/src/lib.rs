@@ -2,15 +2,15 @@
 //! workspace uses: `channel::unbounded`, blocking/timeout/non-blocking
 //! receives, and a `select!` macro over `recv(rx) -> pat => body` arms.
 //!
-//! The channel is a Mutex+Condvar VecDeque with sender-count tracking for
-//! disconnect semantics. `select!` readiness-polls the arms in order (fair
+//! The channel is a Mutex+Condvar VecDeque with a sender count and a
+//! receiver-alive flag for disconnect semantics. `select!` readiness-polls the arms in order (fair
 //! enough for the runtime's two-arm loops) and runs each handler *outside*
 //! the internal wait loop, so `break`/`continue` inside a handler target
 //! the caller's enclosing loop exactly as with real crossbeam.
 
 pub mod channel {
     use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::{Arc, Condvar, Mutex};
     use std::time::{Duration, Instant};
 
@@ -20,6 +20,8 @@ pub mod channel {
         queue: Mutex<VecDeque<T>>,
         ready: Condvar,
         senders: AtomicUsize,
+        /// Cleared when the (single, non-`Clone`) receiver drops.
+        receiver_alive: AtomicBool,
     }
 
     /// Receiving half of a channel has been disconnected and drained.
@@ -55,6 +57,7 @@ pub mod channel {
             queue: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
             senders: AtomicUsize::new(1),
+            receiver_alive: AtomicBool::new(true),
         });
         (
             Sender {
@@ -85,10 +88,9 @@ pub mod channel {
 
     impl<T> Sender<T> {
         pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            // Receivers existing is implied by Arc count > senders; an
-            // unbounded send never blocks, and with the receiver dropped the
-            // message would be unobservable — report that case.
-            if Arc::strong_count(&self.inner) <= self.inner.senders.load(Ordering::SeqCst) {
+            // an unbounded send never blocks, and with the receiver dropped
+            // the message would be unobservable — report that case
+            if !self.inner.receiver_alive.load(Ordering::SeqCst) {
                 return Err(SendError(value));
             }
             let mut q = self.inner.queue.lock().unwrap_or_else(|e| e.into_inner());
@@ -96,6 +98,12 @@ pub mod channel {
             drop(q);
             self.inner.ready.notify_one();
             Ok(())
+        }
+    }
+
+    impl<T> Drop for Receiver<T> {
+        fn drop(&mut self) {
+            self.inner.receiver_alive.store(false, Ordering::SeqCst);
         }
     }
 
@@ -243,6 +251,46 @@ mod tests {
         // queued message still delivered before disconnect surfaces
         assert_eq!(rx2.recv(), Ok(1));
         assert_eq!(rx2.try_recv(), Err(channel::TryRecvError::Disconnected));
+    }
+
+    #[test]
+    fn send_never_fails_while_senders_clone_and_drop() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        let (tx, rx) = channel::unbounded::<u32>();
+        let churning = Arc::new(AtomicBool::new(true));
+        let churn = {
+            let tx = tx.clone();
+            let churning = Arc::clone(&churning);
+            std::thread::spawn(move || {
+                for _ in 0..1_000_000 {
+                    drop(tx.clone());
+                }
+                churning.store(false, Ordering::SeqCst);
+            })
+        };
+        // send in rounds of 2000 for as long as the other thread churns
+        let mut sent = 0u64;
+        while churning.load(Ordering::SeqCst) {
+            for i in 0..2000 {
+                assert!(
+                    tx.send(i).is_ok(),
+                    "send {sent} failed with the receiver alive"
+                );
+                sent += 1;
+            }
+            while rx.try_recv().is_ok() {}
+        }
+        churn.join().unwrap();
+    }
+
+    #[test]
+    fn send_after_receiver_drop_fails() {
+        let (tx, rx) = channel::unbounded::<u32>();
+        let tx2 = tx.clone();
+        drop(rx);
+        assert_eq!(tx.send(1), Err(channel::SendError(1)));
+        assert_eq!(tx2.send(2), Err(channel::SendError(2)));
     }
 
     #[test]
