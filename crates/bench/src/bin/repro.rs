@@ -295,11 +295,11 @@ fn run_lint(paths: &[String]) -> ! {
     std::process::exit(if errors > 0 { 1 } else { 0 });
 }
 
-/// `repro analyze [paths...] [--check]` — run both context-discovery
-/// passes (syntactic `vine_lang::autocontext` and dataflow `vine_flow`)
-/// over vinescript modules and report, per target, what each pass hoists
-/// into `context_setup`, which statements stay per-invocation residue,
-/// and the effect summaries driving the decisions. With no paths,
+/// `repro analyze [paths...] [--check]` — run context discovery
+/// (`vine_flow::discover`) over vinescript modules and report, per
+/// target, what it hoists into `context_setup`, which statements stay
+/// per-invocation residue, and the effect summaries driving the
+/// decisions. With no paths,
 /// analyzes the embedded naive LNNI user module, ExaMol, and every
 /// `examples/vinescript/*.vine` file. For files, every top-level `def`
 /// is treated as a work function. `--check` exits 1 on analysis errors.
@@ -397,31 +397,11 @@ fn run_analyze(args: &[String]) -> ! {
             }
         );
 
-        let syn = vine_lang::autocontext::discover(src, &work_refs);
-        let flow = vine_flow::discover(src, &work_refs);
-        let syn_hoisted = match &syn {
-            Ok(c) => {
-                let h = candidates - c.residue.len();
-                println!(
-                    "  syntactic: hoisted {h}/{candidates}, residue {}",
-                    c.residue.len()
-                );
-                Some(h)
-            }
-            Err(e) => {
-                println!("  syntactic: error: {e}");
-                failures += 1;
-                None
-            }
-        };
-        match &flow {
+        match &vine_flow::discover(src, &work_refs) {
             Ok(f) => {
-                let h = f.hoisted.len();
-                let delta = syn_hoisted
-                    .map(|s| format!("  [{:+} vs syntactic]", h as i64 - s as i64))
-                    .unwrap_or_default();
                 println!(
-                    "  flow:      hoisted {h}/{candidates} ({} folded), residue {}{delta}",
+                    "  flow:      hoisted {}/{candidates} ({} folded), residue {}",
+                    f.hoisted.len(),
                     f.folded,
                     f.context.residue.len()
                 );

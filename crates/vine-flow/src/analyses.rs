@@ -14,8 +14,7 @@ use crate::cfg::{BlockId, Cfg, Terminator};
 use crate::effects::EffectEnv;
 use crate::fixpoint::{solve, Analysis, Direction, Lattice, Solution};
 use std::collections::{BTreeMap, BTreeSet};
-use vine_lang::ast::{Expr, Stmt, StmtKind, Target};
-use vine_lang::autocontext::expr_reads;
+use vine_lang::ast::{expr_reads, Expr, Stmt, StmtKind, Target};
 use vine_lang::{interp, BinOp, Value};
 
 // ---------------------------------------------------------------- liveness

@@ -30,8 +30,7 @@
 use crate::analyses::{CVal, ConstEnv};
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
-use vine_lang::ast::{walk_exprs_in, Expr, FuncDef, Program, Stmt, StmtKind, Target};
-use vine_lang::autocontext::expr_reads;
+use vine_lang::ast::{expr_reads, walk_exprs_in, Expr, FuncDef, Program, Stmt, StmtKind, Target};
 use vine_lang::builtins::{builtin_effect, BuiltinEffect};
 
 /// What running a piece of code may do, beyond computing a value.

@@ -1,17 +1,19 @@
-//! Flow-based context discovery: the upgrade of the syntactic
-//! [`vine_lang::autocontext`] pass to real dataflow.
+//! Context discovery by dataflow: the paper's §6 future work ("a
+//! seamless discovery of high-level contexts among invocations to the
+//! same function"), which §2.1.3 leaves out of scope.
 //!
-//! The contract is the same — classify each module-level statement as
-//! hoistable context or per-invocation residue and synthesize
-//! `context_setup` — but the classification is driven by interprocedural
-//! [`EffectSummary`]s instead of surface reads, which makes it both
-//! *sounder* (a statement calling a helper that writes invocation state no
-//! longer hoists just because the mutated name is not lexically visible;
-//! container mutation without a `global` declaration is still a write) and
-//! *more precise* (pure builtin calls don't block hoisting, and a
-//! statement whose right-hand side constant-folds to a scalar hoists as
-//! the folded constant even when it *reads* invocation-mutated state —
-//! the read happens at fold time, before any invocation ran).
+//! Given a module and the work functions a user wants to invoke
+//! remotely, classify each module-level statement as hoistable context or
+//! per-invocation residue and synthesize `context_setup`. The
+//! classification is driven by interprocedural [`EffectSummary`]s, which
+//! makes it *sound* through calls (a statement calling a helper that
+//! writes invocation state does not hoist even though the mutated name is
+//! not lexically visible; container mutation without a `global`
+//! declaration is still a write) and *precise* (pure builtin calls don't
+//! block hoisting, and a statement whose right-hand side constant-folds
+//! to a scalar hoists as the folded constant even when it *reads*
+//! invocation-mutated state — the read happens at fold time, before any
+//! invocation ran).
 //!
 //! Soundness argument for the transformed order (setup first, residue at
 //! boot, invocations after): a hoisted statement (1) has no I/O, dynamic
@@ -33,9 +35,29 @@ use crate::effects::{EffectEnv, EffectSummary};
 use std::collections::{BTreeMap, BTreeSet};
 use vine_core::{Result, VineError};
 use vine_lang::ast::{Expr, FuncDef, Program, Stmt, StmtKind, Target};
-use vine_lang::autocontext::DiscoveredContext;
 use vine_lang::inspect::{format_funcdef, format_program};
 use vine_lang::Value;
+
+/// A module split into reusable context and per-invocation residue, in
+/// the shape a `LibrarySpec` consumes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DiscoveredContext {
+    /// Synthesized `context_setup` source: the hoistable module-level
+    /// statements wrapped in a function that publishes their bindings via
+    /// `global`.
+    pub setup_source: String,
+    /// Names the setup publishes into the namespace.
+    pub provides: Vec<String>,
+    /// Module-level statements that could NOT be hoisted, formatted, in
+    /// module order.
+    pub residue: Vec<String>,
+    /// Modules the context needs installed (imports of the hoisted
+    /// statements and of the work functions and their helpers).
+    pub imports: Vec<String>,
+    /// Source of the work functions themselves plus every helper function
+    /// they transitively call.
+    pub code_source: String,
+}
 
 /// One hoisted statement, with provenance when it was rewritten.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,13 +68,11 @@ pub struct HoistedStmt {
     pub folded_from: Option<String>,
 }
 
-/// The outcome of flow-based discovery: a drop-in
-/// [`DiscoveredContext`] plus the analysis detail the syntactic pass
-/// cannot produce.
+/// The outcome of discovery: the [`DiscoveredContext`] plus the analysis
+/// detail behind it.
 #[derive(Debug, Clone)]
 pub struct FlowDiscovery {
-    /// The same shape the syntactic pass produces — plugs into
-    /// `LibrarySpec` unchanged.
+    /// What to install: setup, residue, imports and code.
     pub context: DiscoveredContext,
     /// Hoisted statements in module order, with fold provenance.
     pub hoisted: Vec<HoistedStmt>,
@@ -126,7 +146,7 @@ pub fn discover(module_src: &str, work_functions: &[&str]) -> Result<FlowDiscove
 
     // names the work set may mutate. An unresolvable call or dynamic code
     // inside the work set could write anything: every module name becomes
-    // off-limits (the syntactic pass misses this case entirely).
+    // off-limits.
     let mut mutated: BTreeSet<String> = BTreeSet::new();
     let mut work_is_opaque = false;
     for f in &needed {
@@ -243,7 +263,9 @@ pub fn discover(module_src: &str, work_functions: &[&str]) -> Result<FlowDiscove
         }
     }
 
-    // synthesize context_setup exactly the way the syntactic pass does
+    // synthesize context_setup: one `global` declaration for every name
+    // the hoisted statements bind (imported modules included, so the work
+    // functions see them in the global namespace), then the statements
     let mut published: Vec<String> = hoisted_stmts
         .iter()
         .flat_map(|s| effects.stmt_effect(s).writes)

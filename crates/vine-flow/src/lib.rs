@@ -11,15 +11,14 @@
 //!   graph, with a curated builtin table ([`vine_lang::builtins`]) and
 //!   `eval`/`exec` as ⊤.
 //!
-//! On top sits [`hoist::discover`]: the flow-based upgrade of
-//! [`vine_lang::autocontext::discover`], the paper's §6 "seamless
-//! discovery of high-level contexts". It hoists module statements whose
-//! values are provably invocation-invariant *even through calls*, and
-//! constant-folds statements that read invocation state into hoistable
-//! constants. `vine-lint` builds its flow lints (dead store, unreachable
-//! code, constant condition, effectful setup in fork mode) on the same
-//! layers, and `vine-runtime` turns discoveries into installable
-//! `LibrarySpec`s.
+//! On top sits [`hoist::discover`], the repository's one context-discovery
+//! pass: the paper's §6 "seamless discovery of high-level contexts". It
+//! hoists module statements whose values are provably
+//! invocation-invariant *even through calls*, and constant-folds
+//! statements that read invocation state into hoistable constants.
+//! `vine-lint` builds its flow lints (dead store, unreachable code,
+//! constant condition, effectful setup in fork mode) on the same layers,
+//! and `vine-runtime` turns discoveries into installable `LibrarySpec`s.
 
 pub mod analyses;
 pub mod cfg;
@@ -31,7 +30,7 @@ pub use analyses::{constprop, liveness, reaching, CVal, ConstEnv};
 pub use cfg::{Block, BlockId, Cfg, Terminator};
 pub use effects::{EffectEnv, EffectSummary};
 pub use fixpoint::{solve, Analysis, Direction, Lattice, Solution};
-pub use hoist::{discover, FlowDiscovery, HoistedStmt};
+pub use hoist::{discover, DiscoveredContext, FlowDiscovery, HoistedStmt};
 
 #[cfg(test)]
 mod tests {
@@ -54,13 +53,12 @@ mod tests {
     "#;
 
     #[test]
-    fn flow_hoists_strictly_more_than_syntactic() {
+    fn read_of_mutated_counter_folds_and_hoists() {
         let flow = discover(MODULE, &["classify"]).unwrap();
-        let syn = vine_lang::autocontext::discover(MODULE, &["classify"]).unwrap();
-        // syntactic: `capacity = served + 4096` reads the mutated counter
-        // and stays residue; flow folds it to `capacity = 4096;`
-        assert!(flow.hoisted.len() > 6 - syn.residue.len(), "sanity");
-        assert!(flow.context.residue.len() < syn.residue.len());
+        // `capacity = served + 4096` reads the mutated counter, but its
+        // value at boot is a constant: it hoists as `capacity = 4096;`
+        assert_eq!(flow.hoisted.len(), 5, "{:?}", flow.hoisted);
+        assert_eq!(flow.context.residue, vec!["served = 0;".to_string()]);
         assert_eq!(flow.folded, 1);
         let fold = flow
             .hoisted
@@ -68,6 +66,34 @@ mod tests {
             .find(|h| h.folded_from.is_some())
             .unwrap();
         assert_eq!(fold.source, "capacity = 4096;");
+        assert!(flow.context.provides.contains(&"capacity".to_string()));
+    }
+
+    #[test]
+    fn unknown_function_errors() {
+        assert!(discover(MODULE, &["missing"]).is_err());
+        assert!(discover(MODULE, &["classify", "missing"]).is_err());
+    }
+
+    #[test]
+    fn collects_imports_and_helpers() {
+        // `mathx` is imported only inside the helper; the helper travels
+        // with the work function as code
+        let src = r#"
+            scale = 3
+            def preprocess(img) {
+                import mathx
+                return img % scale
+            }
+            def infer(img) { return preprocess(img) + 1 }
+            def unused() { return 0 }
+        "#;
+        let flow = discover(src, &["infer"]).unwrap();
+        assert_eq!(flow.context.imports, vec!["mathx".to_string()]);
+        assert!(flow.context.code_source.contains("def preprocess"));
+        assert!(flow.context.code_source.contains("def infer"));
+        assert!(!flow.context.code_source.contains("def unused"));
+        assert!(flow.context.provides.contains(&"scale".to_string()));
     }
 
     #[test]
@@ -84,8 +110,8 @@ mod tests {
 
     #[test]
     fn through_call_mutation_blocks_hoisting() {
-        // the helper's write is invisible to the syntactic pass (no
-        // `global` read in the statement itself) but flow sees through it
+        // the helper's write is not lexically visible in the statement
+        // (no `global` read in it), but the effect summary sees through it
         let src = r#"
             def bump() {
                 global hits

@@ -1,7 +1,8 @@
 //! Adversarial edge cases for flow-based discovery: each module hides an
 //! invocation-time mutation behind syntax the naive reading misses —
 //! augmented assignment (desugared at parse), container writes through a
-//! local alias, dynamic code inside an innocuous-looking candidate. In
+//! local alias, dynamic code inside an innocuous-looking candidate, a
+//! setup-looking read of a container the residue fills. In
 //! every case the touched binding must stay un-hoisted, and the hoisted
 //! form must still execute identically to the original.
 
@@ -139,4 +140,36 @@ fn eval_inside_candidate_blocks_hoisting() {
         flow.context.residue
     );
     assert_execution_identical(src, "work", &[vec![Value::Int(1)], vec![Value::Int(2)]]);
+}
+
+#[test]
+fn read_after_residue_container_write_stays_residue() {
+    // `push` mutates `table` with the invocation counter, so it stays
+    // residue; `n = len(table)` looks like pure setup but reads what the
+    // residue wrote. Hoisting it above the push would bind n = 0 (setup
+    // first) or fail on an undefined `table` (residue first).
+    let src = r#"
+table = []
+served = 0
+push(table, served)
+n = len(table)
+def work() { global served
+    served = served + 1
+    return n }
+"#;
+    let flow = vine_flow::discover(src, &["work"]).unwrap();
+    assert!(
+        !flow.context.provides.contains(&"n".to_string()),
+        "{:?}",
+        flow.context
+    );
+    assert!(
+        flow.context
+            .residue
+            .iter()
+            .any(|r| r.contains("n = len(table)")),
+        "{:?}",
+        flow.context.residue
+    );
+    assert_execution_identical(src, "work", &[vec![], vec![]]);
 }

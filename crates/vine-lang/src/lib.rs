@@ -12,11 +12,12 @@
 //!   dynamically `eval`-ed functions that have no source form) to bytes and
 //!   reconstruct it elsewhere (the cloudpickle analogue);
 //! * [`inspect::scan_imports`] — walk a function's AST collecting the
-//!   modules it imports (the Poncho dependency-discovery analogue);
-//! * [`autocontext::discover`] — *beyond the paper*: the §6 future-work
-//!   item, automatic context detection — classify module-level setup as
-//!   hoistable context vs per-invocation state and synthesize the
-//!   `context_setup` function without user intervention.
+//!   modules it imports (the Poncho dependency-discovery analogue).
+//!
+//! Automatic context discovery — the paper's §6 future work — is not
+//! here: it needs dataflow, and lives in the `vine-flow` crate, which
+//! builds on this crate's AST walkers ([`ast::stmt_reads`],
+//! [`ast::expr_reads`]).
 //!
 //! The language is deliberately boring: `def` functions, `global`
 //! declarations (how context setup publishes state to later invocations,
@@ -46,7 +47,6 @@
 //! ```
 
 pub mod ast;
-pub mod autocontext;
 pub mod builtins;
 pub mod bytecode;
 pub mod compile;

@@ -3,10 +3,10 @@
 //! These are the checks the paper's discover mechanism (§3.2) implies but
 //! never enforces: a work function that reads a name nothing defines will
 //! only fail on a worker, after the context shipped; a module-level
-//! statement that calls `eval` silently disables autocontext hoisting; a
-//! function that mutates a module-level global quietly demotes that
-//! binding to per-instance residue. Each of those becomes a diagnostic
-//! here, before anything is packaged.
+//! statement that calls `eval` silently disables context-discovery
+//! hoisting; a function that mutates a module-level global quietly demotes
+//! that binding to per-instance residue. Each of those becomes a
+//! diagnostic here, before anything is packaged.
 //!
 //! Scope model: vinescript resolves free names in a function against the
 //! module's global namespace at *call* time, so a name is "defined" if it
@@ -452,7 +452,7 @@ fn dynamic_module_scope(prog: &Program, diags: &mut Vec<Diagnostic>) {
                 )
                 .with_span(s.span)
                 .with_help(
-                    "autocontext cannot classify this statement as hoistable context; \
+                    "context discovery cannot classify this statement as hoistable context; \
                      functions it defines must ship serialized, not as source",
                 ),
             );

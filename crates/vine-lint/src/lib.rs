@@ -14,7 +14,7 @@
 //!
 //! * **language** ([`language`]) — checks a parsed vinescript [`Program`]:
 //!   undefined names, unused bindings, shadowed globals, dynamic code in
-//!   hoistable positions, global writes that defeat autocontext hoisting,
+//!   hoistable positions, global writes that defeat context-discovery hoisting,
 //!   captures that will not survive fork-mode serialization.
 //! * **environment** ([`environment`]) — checks imports against what the
 //!   module registry and package catalog can actually provide, declared
@@ -43,7 +43,7 @@ pub use flow::{lint_flow, lint_fork_setup};
 pub use language::{lint_fork_mode, lint_language};
 pub use placement::lint_placement;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use vine_core::{ExecMode, LibrarySpec, Resources};
 use vine_lang::ast::{Program, Span, StmtKind};
 
@@ -198,11 +198,4 @@ pub fn lint_library(spec: &LibrarySpec, source: &str, pre: &LibraryPreflight) ->
     report.extend(lint_placement(spec, &pre.workers));
     report.sort();
     report
-}
-
-/// Arity map for [`lint_dag`] from per-library function arities.
-pub fn arity_map(
-    libraries: impl IntoIterator<Item = (String, BTreeMap<String, usize>)>,
-) -> BTreeMap<String, BTreeMap<String, usize>> {
-    libraries.into_iter().collect()
 }

@@ -299,14 +299,17 @@ impl Runtime {
     /// down; running units are requeued and rescheduled elsewhere.
     pub fn kill_worker(&mut self, id: WorkerId) {
         self.transport.disconnect(id);
-        if self.connected.remove(&id) {
-            self.worker_left(id);
-        }
+        self.worker_left(id);
     }
 
-    /// A worker is gone (kill, crash, or disconnect): tell the manager and
-    /// requeue everything that was in flight there.
+    /// A worker is gone (kill, crash, disconnect, or dropped for breaking
+    /// the protocol): tell the manager and requeue everything that was in
+    /// flight there. A worker already gone is a no-op, so a leave observed
+    /// twice (say, by an explicit kill and by the transport) counts once.
     fn worker_left(&mut self, id: WorkerId) {
+        if !self.connected.remove(&id) {
+            return;
+        }
         let lost = self.mgr.worker_left(id);
         for unit in lost {
             if let Some(w) = self.in_flight.remove(&unit) {
@@ -475,9 +478,7 @@ impl Runtime {
         match result {
             Ok(()) => Ok(()),
             Err(VineError::WorkerLost(w)) => {
-                if self.connected.remove(&w) {
-                    self.worker_left(w);
-                }
+                self.worker_left(w);
                 Ok(())
             }
             Err(e) => Err(e),
@@ -492,28 +493,25 @@ impl Runtime {
                     self.worker_caps.push(resources);
                 }
             }
-            TransportEvent::Left { worker } => {
-                if self.connected.remove(&worker) {
-                    self.worker_left(worker);
-                }
-            }
+            TransportEvent::Left { worker } => self.worker_left(worker),
             TransportEvent::Message { worker, msg } => {
                 if !self.connected.contains(&worker) {
                     // stragglers from a worker we already gave up on
                     return Ok(());
                 }
-                match msg {
+                let violation = match msg {
                     WorkerToManager::LibraryReady { instance } => {
-                        self.mgr.library_ready(worker, instance)?;
+                        self.mgr.library_ready(worker, instance).err()
                     }
                     WorkerToManager::LibraryFailed { instance, error: _ } => {
-                        self.mgr.library_startup_failed(worker, instance)?;
+                        self.mgr.library_startup_failed(worker, instance).err()
                     }
                     WorkerToManager::UnitDone { outcome } => {
                         let unit = outcome.unit;
-                        // a result from a worker we already gave up on is
-                        // stale: the unit was requeued and will run again
-                        if self.in_flight.remove(&unit).is_none() {
+                        // only the worker the unit is placed on may finish
+                        // it: anything else is a stale result (the unit was
+                        // requeued and will run again) or a forgery
+                        if !self.placed_on(unit, worker) || self.in_flight.remove(&unit).is_none() {
                             return Ok(());
                         }
                         if let Some(at) = self.dispatch_times.remove(&unit) {
@@ -521,36 +519,49 @@ impl Runtime {
                         }
                         self.mgr.unit_finished(unit)?;
                         self.outcomes.push(outcome);
+                        None
                     }
                     WorkerToManager::Requeue { unit } => {
                         let id = match &unit {
                             WorkUnit::Call(c) => UnitId::Call(c.id),
                             WorkUnit::Task(t) => UnitId::Task(t.id),
                         };
-                        if self.in_flight.remove(&id).is_some() {
+                        if self.placed_on(id, worker) && self.in_flight.remove(&id).is_some() {
                             self.dispatch_times.remove(&id);
                             self.mgr.unit_finished(id)?;
                             self.requeues += 1;
                             self.mgr.requeue(unit);
                         }
+                        None
                     }
                     WorkerToManager::Leave => {
                         self.transport.disconnect(worker);
-                        if self.connected.remove(&worker) {
-                            self.worker_left(worker);
-                        }
+                        self.worker_left(worker);
+                        None
                     }
-                    WorkerToManager::Join { .. } => {
-                        // joins are transport-level handshakes; a repeat on
-                        // an admitted connection is a protocol violation
-                        return Err(VineError::Protocol(format!(
-                            "unexpected Join from admitted worker {worker}"
-                        )));
-                    }
+                    // joins are transport-level handshakes; a repeat on an
+                    // admitted connection is a protocol violation
+                    WorkerToManager::Join { .. } => Some(VineError::Protocol(format!(
+                        "unexpected Join from admitted worker {worker}"
+                    ))),
+                };
+                // a worker that breaks the protocol is dropped as if it had
+                // left: its in-flight units requeue and the run goes on
+                if let Some(e) = violation {
+                    eprintln!("dropping worker {worker}: {e}");
+                    self.transport.disconnect(worker);
+                    self.worker_left(worker);
                 }
             }
         }
         Ok(())
+    }
+
+    /// Whether the manager placed `unit` on `worker`.
+    fn placed_on(&self, unit: UnitId, worker: WorkerId) -> bool {
+        self.mgr
+            .placement_of(unit)
+            .is_some_and(|p| p.worker == worker)
     }
 
     /// Hit/miss counters of the manager's compiled-image store: misses are

@@ -3,8 +3,8 @@
 //! A deterministic discrete-event simulator that executes vine-rs
 //! workloads on a modeled cluster — the substitution for the paper's
 //! 201-machine HTCondor pool (DESIGN.md §2). The real [`vine_manager`]
-//! scheduler and [`vine_worker`] accounting run unmodified; only *time* is
-//! simulated:
+//! scheduler, with the worker accounting it embeds, runs unmodified; only
+//! *time* is simulated:
 //!
 //! * manager bookkeeping is a single-server queue with per-decision costs
 //!   from [`vine_core::CostModel`];

@@ -16,15 +16,11 @@
 //! discrete-event simulator drives it with modeled durations; the live
 //! threaded runtime drives it with real libraries on real threads. Both
 //! substrates therefore exercise identical accounting and protocol logic.
-//!
-//! [`protocol`] defines the §3.4 worker ↔ library message protocol.
 
 pub mod library;
-pub mod protocol;
 pub mod sandbox;
 pub mod state;
 
 pub use library::{LibState, LibraryInstance};
-pub use protocol::{LibraryToWorker, WorkerToLibrary};
 pub use sandbox::Sandbox;
 pub use state::WorkerState;

@@ -3,8 +3,8 @@
 # every target with warnings denied, a formatting check, the static
 # pre-flight passes (lint must find no errors in the shipped sources;
 # analyze must run clean and its hoisting report is kept as an artifact),
-# a determinism smoke run (the repro sweep must be byte-identical with
-# and without cross-simulation parallelism), the TCP loopback smoke
+# a determinism run (every section of `repro all`, swept in parallel,
+# must byte-match the committed golden output), the TCP loopback smoke
 # (a multi-process run over framed sockets must byte-match the in-process
 # run, with and without a worker killed mid-run), the federated-sharding
 # smoke (router + 2 shard processes byte-match the single manager, with
@@ -28,16 +28,17 @@ echo "vine-lang VM differential + benchmark: OK (BENCH_lang.json written)"
 ./target/release/repro analyze --check | tee ANALYZE_report.txt
 echo "repro lint + analyze: OK (report in ANALYZE_report.txt)"
 
-seq_out="$(mktemp)"
+# `cargo test` pins the sequential sweep (--jobs 1) to the golden file;
+# this pins the parallel one
+golden=crates/bench/tests/golden/repro_all_scale_0.02.txt
 par_out="$(mktemp)"
-trap 'rm -f "$seq_out" "$par_out"' EXIT
-./target/release/repro fig6a fig6b table2 --scale 0.02 --jobs 1 >"$seq_out" 2>/dev/null
-./target/release/repro fig6a fig6b table2 --scale 0.02 --jobs 4 >"$par_out" 2>/dev/null
-cmp "$seq_out" "$par_out" || {
-    echo "repro output differs between --jobs 1 and --jobs 4" >&2
+trap 'rm -f "$par_out"' EXIT
+./target/release/repro all --scale 0.02 --jobs 4 >"$par_out" 2>/dev/null
+cmp "$par_out" "$golden" || {
+    echo "repro all --scale 0.02 --jobs 4 differs from $golden" >&2
     exit 1
 }
-echo "repro --jobs determinism: OK (byte-identical at --jobs 1 and 4)"
+echo "repro --jobs determinism: OK (--jobs 4 byte-identical to the golden output)"
 
 ./scripts/tcp_smoke.sh ./target/release/repro
 

@@ -13,7 +13,7 @@ use vine_runtime::{decode_result, Runtime, RuntimeConfig};
 
 /// The naive module: model build and label table are invocation-invariant,
 /// `served` is mutable per-invocation state, and `capacity` reads the
-/// mutated counter — syntactically stuck as residue, but constant-foldable.
+/// mutated counter but constant-folds to a hoistable value.
 const USER_MODULE: &str = r#"
 import nn
 
@@ -61,6 +61,19 @@ fn flow_install_auto_runs_on_live_cluster() {
         "{:?}",
         flow.context.residue
     );
+
+    // the discovered imports resolve and pack through the package catalog,
+    // as a hand-written dependency list would
+    assert_eq!(flow.context.imports, vec!["nn".to_string()]);
+    let catalog = vine_env::catalog::standard_registry();
+    let reqs: Vec<vine_env::Requirement> = flow
+        .context
+        .imports
+        .iter()
+        .map(|m| vine_env::Requirement::any(m.clone()))
+        .collect();
+    let resolution = vine_env::resolve(&catalog, &reqs).unwrap();
+    assert!(vine_env::pack("auto-env", &resolution).provides("nn"));
 
     for i in 0..5u64 {
         rt.submit(WorkUnit::Call(FunctionCall::new(
