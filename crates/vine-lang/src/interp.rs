@@ -11,7 +11,7 @@ use crate::ast::{BinOp, Expr, FuncDef, Program, Stmt, StmtKind, Target, UnOp};
 use crate::builtins;
 use crate::bytecode::{CompiledFn, CompiledModule};
 use crate::modules::ModuleRegistry;
-use crate::value::{Function, Value};
+use crate::value::{release_namespace, Function, Namespace, Value};
 use crate::{compile, vm};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -48,8 +48,9 @@ enum Flow {
 pub struct Interp {
     /// Module-level namespace. Shared (by `Rc`) with every function defined
     /// in it, so `global` writes from context setup are visible to later
-    /// invocations.
-    pub globals: Rc<RefCell<BTreeMap<String, Value>>>,
+    /// invocations. Dropping the interpreter frees it unless something
+    /// outside still reaches it (see [`release_namespace`]).
+    pub globals: Namespace,
     registry: ModuleRegistry,
     /// Cache of already-imported modules.
     loaded: BTreeMap<String, Value>,
@@ -69,6 +70,12 @@ pub struct Interp {
     slot_pool: Vec<Vec<Option<Value>>>,
     /// Recycled VM operand stacks.
     stack_pool: Vec<Vec<Value>>,
+}
+
+impl Drop for Interp {
+    fn drop(&mut self) {
+        release_namespace(&self.globals);
+    }
 }
 
 impl Default for Interp {
@@ -464,7 +471,9 @@ impl Interp {
         }
     }
 
-    pub(crate) fn import_module(&mut self, name: &str) -> Result<Value> {
+    /// Import a module by name (what `import name` evaluates to), loading
+    /// it from the registry on first use.
+    pub fn import_module(&mut self, name: &str) -> Result<Value> {
         if let Some(m) = self.loaded.get(name) {
             return Ok(m.clone());
         }
@@ -1032,6 +1041,118 @@ mod tests {
         interp.set_global("state", Value::Int(7));
         interp.bind_function(def);
         assert_eq!(interp.call_global("probe", &[]).unwrap(), Value::Int(7));
+    }
+
+    /// Run `src` on a fresh interpreter of each engine; hand back a weak
+    /// handle to its namespace after dropping it.
+    fn namespaces_after_drop(src: &str) -> Vec<std::rc::Weak<RefCell<BTreeMap<String, Value>>>> {
+        [Engine::Tree, Engine::Vm]
+            .into_iter()
+            .map(|engine| {
+                let mut interp = Interp::new();
+                interp.engine = engine;
+                interp.exec_source(src).unwrap();
+                Rc::downgrade(&interp.globals)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dropping_interp_frees_namespace_with_top_level_def() {
+        for ns in namespaces_after_drop("base = 40\ndef f(x) { return base + x }") {
+            assert_eq!(ns.strong_count(), 0);
+        }
+    }
+
+    #[test]
+    fn dropping_interp_frees_context_setup_model() {
+        let src = r#"
+            def context_setup(n) {
+                global model
+                model = zeros([n, n])
+            }
+            def infer(x) { return model[x] }
+            context_setup(64)
+        "#;
+        for engine in [Engine::Tree, Engine::Vm] {
+            let mut interp = Interp::new();
+            interp.engine = engine;
+            interp.exec_source(src).unwrap();
+            let model = match interp.get_global("model") {
+                Some(Value::Tensor(t)) => Rc::downgrade(&t),
+                other => panic!("context_setup publishes a tensor, got {other:?}"),
+            };
+            let ns = Rc::downgrade(&interp.globals);
+            drop(interp);
+            assert_eq!(ns.strong_count(), 0, "{engine:?}");
+            assert_eq!(model.strong_count(), 0, "{engine:?}");
+        }
+    }
+
+    #[test]
+    fn dropping_interp_frees_functions_held_in_containers() {
+        let src = r#"
+            def f(x) { return x }
+            handlers = [f, fn (x) { return x + 1 }]
+            table = {"g": fn (x) { return x * 2 }, "nested": [f]}
+        "#;
+        for ns in namespaces_after_drop(src) {
+            assert_eq!(ns.strong_count(), 0);
+        }
+    }
+
+    #[test]
+    fn source_module_namespace_lives_with_module_value() {
+        let mut reg = ModuleRegistry::new();
+        reg.register_source("helpers", "k = 3\ndef triple(x) { return x * k }");
+        let mut interp = Interp::with_registry(reg);
+        interp.exec_source("import helpers").unwrap();
+        let module = interp.get_global("helpers").unwrap();
+        let Value::Module(m) = &module else {
+            panic!("import binds a module");
+        };
+        let ns = Rc::downgrade(&m.members);
+        drop(interp);
+        assert!(ns.strong_count() > 0, "the module value still owns it");
+        let triple = m.members.borrow()["triple"].clone();
+        assert_eq!(
+            Interp::new()
+                .call_value(&triple, &[Value::Int(14)])
+                .unwrap(),
+            Value::Int(42)
+        );
+        drop(triple);
+        drop(module);
+        assert_eq!(ns.strong_count(), 0);
+    }
+
+    #[test]
+    fn namespace_held_from_outside_survives_its_interp() {
+        for engine in [Engine::Tree, Engine::Vm] {
+            let mut interp = Interp::new();
+            interp.engine = engine;
+            interp
+                .exec_source("base = 40\ndef f(x) { return base + x }\nfs = [f]")
+                .unwrap();
+            let f = interp.get_global("f").unwrap();
+            let fs = interp.get_global("fs").unwrap();
+            let ns = Rc::downgrade(&interp.globals);
+            drop(interp);
+            assert!(ns.strong_count() > 0, "{engine:?}");
+            let mut other = Interp::new();
+            assert_eq!(
+                other.call_value(&f, &[Value::Int(2)]).unwrap(),
+                Value::Int(42)
+            );
+            drop(f);
+            // reachable through a list held outside: still not cleared
+            let Value::List(items) = &fs else { panic!() };
+            let g = items.borrow()[0].clone();
+            assert_eq!(
+                other.call_value(&g, &[Value::Int(1)]).unwrap(),
+                Value::Int(41)
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! invocation's sandbox (§3.4 step 4).
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::rc::Rc;
 use vine_core::{Result, VineError};
@@ -56,6 +56,10 @@ impl Tensor {
     }
 }
 
+/// A module-level namespace: an interpreter's globals, or a source
+/// module's members.
+pub type Namespace = Rc<RefCell<BTreeMap<String, Value>>>;
+
 /// A user-defined function *object*: code plus a handle to the global
 /// namespace of the interpreter that defined it. Invocations of the same
 /// function share that namespace — this is the in-memory context the
@@ -64,7 +68,7 @@ pub struct Function {
     pub def: Rc<FuncDef>,
     /// The defining interpreter's globals. Functions read module-level
     /// state (e.g. a model registered by `context_setup`) through this.
-    pub globals: Rc<RefCell<BTreeMap<String, Value>>>,
+    pub globals: Namespace,
     /// Parameter names interned once at construction, so every call binds
     /// arguments with `Rc` clones instead of fresh `String` allocations.
     pub param_names: Vec<Rc<str>>,
@@ -75,7 +79,7 @@ pub struct Function {
 }
 
 impl Function {
-    pub fn new(def: Rc<FuncDef>, globals: Rc<RefCell<BTreeMap<String, Value>>>) -> Function {
+    pub fn new(def: Rc<FuncDef>, globals: Namespace) -> Function {
         let param_names = def.params.iter().map(|p| Rc::from(p.as_str())).collect();
         Function {
             def,
@@ -122,7 +126,170 @@ pub struct ModuleObj {
     /// modules, so module functions that mutate their own module-level
     /// state stay visible through attribute reads — and importing never
     /// clones the whole namespace.
-    pub members: Rc<RefCell<BTreeMap<String, Value>>>,
+    pub members: Namespace,
+}
+
+impl Drop for ModuleObj {
+    /// A source module owns the namespace it adopted from the interpreter
+    /// that ran its source, so it gives the namespace back the same way.
+    fn drop(&mut self) {
+        release_namespace(&self.members);
+    }
+}
+
+/// Free a namespace as its owner (an [`Interp`](crate::Interp) or a
+/// [`ModuleObj`]) drops, unless something outside can still reach it.
+///
+/// A namespace that defines a function is an `Rc` cycle: the map holds the
+/// `Value::Func` and the function holds the map, so dropping the owner alone
+/// frees nothing. This takes a census of the lists, dicts, functions,
+/// modules and namespaces reachable from `ns`, counting the strong
+/// references each gets from inside that graph, plus the owner's own on
+/// `ns`. A node with more strong references than that is held from outside.
+/// If `ns` is reachable from such a node it is left alone: a function value
+/// kept past its interpreter still runs against it. Otherwise nothing can
+/// read `ns` again, so its contents are taken out and dropped, which breaks
+/// the cycle.
+///
+/// Cycles a program builds in its own containers (`push(xs, xs)`) are not
+/// namespaces and still leak, as in any reference-counted runtime.
+pub(crate) fn release_namespace(ns: &Namespace) {
+    // held by the owner alone: the ordinary drop frees it
+    if Rc::strong_count(ns) == 1 {
+        return;
+    }
+    let mut census = Census::default();
+    let root = census.map(ns);
+    census.nodes[root].held += 1;
+    if census.busy || census.reachable_from_outside(root) {
+        return;
+    }
+    let Ok(mut map) = ns.try_borrow_mut() else {
+        return;
+    };
+    let contents = std::mem::take(&mut *map);
+    // end the borrow first: dropping the contents releases other
+    // namespaces, whose census may walk back into this one
+    drop(map);
+    drop(contents);
+}
+
+/// The reference graph reachable from one namespace (see
+/// [`release_namespace`]).
+#[derive(Default)]
+struct Census {
+    /// Allocation address → index into `nodes`.
+    index: HashMap<*const (), usize>,
+    nodes: Vec<Node>,
+    /// A cell on the way was mutably borrowed, so something is running
+    /// against the graph: leave it alone.
+    busy: bool,
+}
+
+struct Node {
+    /// `Rc::strong_count` of the allocation.
+    strong: usize,
+    /// Strong references to it from nodes in the census.
+    held: usize,
+    /// Nodes it holds a strong reference to, once per reference.
+    holds: Vec<usize>,
+}
+
+impl Census {
+    /// The node for one allocation, and whether this visit is its first.
+    fn node<T: ?Sized>(&mut self, rc: &Rc<T>) -> (usize, bool) {
+        let addr = Rc::as_ptr(rc) as *const ();
+        if let Some(&i) = self.index.get(&addr) {
+            return (i, false);
+        }
+        let i = self.nodes.len();
+        self.nodes.push(Node {
+            strong: Rc::strong_count(rc),
+            held: 0,
+            holds: Vec::new(),
+        });
+        self.index.insert(addr, i);
+        (i, true)
+    }
+
+    fn link(&mut self, from: usize, to: usize) {
+        self.nodes[to].held += 1;
+        self.nodes[from].holds.push(to);
+    }
+
+    fn link_all<'a>(&mut self, from: usize, values: impl Iterator<Item = &'a Value>) {
+        for v in values {
+            if let Some(to) = self.value(v) {
+                self.link(from, to);
+            }
+        }
+    }
+
+    /// A namespace or dict (both are string-keyed maps).
+    fn map(&mut self, map: &Namespace) -> usize {
+        let (i, first) = self.node(map);
+        if first {
+            match map.try_borrow() {
+                Ok(entries) => self.link_all(i, entries.values()),
+                Err(_) => self.busy = true,
+            }
+        }
+        i
+    }
+
+    /// The node a value holds, or `None` for a value that can hold nothing
+    /// reaching a namespace.
+    fn value(&mut self, v: &Value) -> Option<usize> {
+        Some(match v {
+            Value::List(l) => {
+                let (i, first) = self.node(l);
+                if first {
+                    match l.try_borrow() {
+                        Ok(items) => self.link_all(i, items.iter()),
+                        Err(_) => self.busy = true,
+                    }
+                }
+                i
+            }
+            Value::Dict(d) => self.map(d),
+            Value::Func(f) => {
+                let (i, first) = self.node(f);
+                if first {
+                    let ns = self.map(&f.globals);
+                    self.link(i, ns);
+                }
+                i
+            }
+            Value::Module(m) => {
+                let (i, first) = self.node(m);
+                if first {
+                    let ns = self.map(&m.members);
+                    self.link(i, ns);
+                }
+                i
+            }
+            _ => return None,
+        })
+    }
+
+    /// Whether `root` is reachable from a node something outside the
+    /// census holds.
+    fn reachable_from_outside(&self, root: usize) -> bool {
+        let mut seen = vec![false; self.nodes.len()];
+        let mut stack: Vec<usize> = (0..self.nodes.len())
+            .filter(|&i| self.nodes[i].strong > self.nodes[i].held)
+            .collect();
+        while let Some(i) = stack.pop() {
+            if std::mem::replace(&mut seen[i], true) {
+                continue;
+            }
+            if i == root {
+                return true;
+            }
+            stack.extend(&self.nodes[i].holds);
+        }
+        false
+    }
 }
 
 /// Any vinescript value.

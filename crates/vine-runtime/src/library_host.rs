@@ -139,15 +139,17 @@ fn run_direct(interp: &mut Interp, function: &str, args_blob: &[u8]) -> Result<V
 /// the child (§2.1.4: invocations "can freely mutate the environment in
 /// its memory space" without corrupting the shared context).
 fn run_forked(interp: &Interp, function: &str, args_blob: &[u8]) -> Result<Vec<u8>, String> {
-    // snapshot the namespace: serializable state deep-clones; module and
-    // native values are rebuilt in the child from the same registry
-    let parent_globals: Vec<(String, Value)> = interp
-        .globals
-        .borrow()
-        .iter()
-        .filter(|(_, v)| !matches!(v, Value::Module(_) | Value::Native(_)))
-        .map(|(k, v)| (k.clone(), v.deep_clone()))
-        .collect();
+    // snapshot the namespace: serializable state deep-clones; modules are
+    // re-imported in the child from the same registry
+    let mut modules = Vec::new();
+    let mut parent_globals: Vec<(String, Value)> = Vec::new();
+    for (k, v) in interp.globals.borrow().iter() {
+        match v {
+            Value::Module(m) => modules.push((k.clone(), m.name.clone())),
+            Value::Native(_) => {}
+            v => parent_globals.push((k.clone(), v.deep_clone())),
+        }
+    }
     // functions must be re-serialized so the child rebinds them to ITS
     // globals, not the parent's
     let mut plain = Vec::new();
@@ -169,6 +171,12 @@ fn run_forked(interp: &Interp, function: &str, args_blob: &[u8]) -> Result<Vec<u
         .spawn(move || -> Result<Vec<u8>, String> {
             let mut child_interp = Interp::with_registry(registry);
             child_interp.engine = Engine::Vm;
+            for (k, name) in modules {
+                let m = child_interp
+                    .import_module(&name)
+                    .map_err(|e| e.to_string())?;
+                child_interp.set_global(k, m);
+            }
             for (k, blob) in plain {
                 let v = pickle::deserialize_value(&blob, &child_interp.globals)
                     .map_err(|e| e.to_string())?;
@@ -292,6 +300,33 @@ mod tests {
         // the parent daemon's counter is untouched
         let c = invoke(&host, &erx, 3, "read_counter", &[], ExecMode::Direct).unwrap();
         assert_eq!(c, Value::Int(0));
+        host.tx.send(WorkerToLibrary::Shutdown).unwrap();
+    }
+
+    #[test]
+    fn forked_child_imports_the_parents_modules() {
+        let mut registry = ModuleRegistry::new();
+        registry.register_native("mathx", || {
+            vec![vine_lang::modules::native("square", |args| {
+                Ok(Value::Int(args[0].as_int()? * args[0].as_int()?))
+            })]
+        });
+        let (etx, erx) = crossbeam::channel::unbounded();
+        let image = LibraryImage {
+            instance: LibraryInstanceId(3),
+            source: "import mathx\ndef f(x) { return mathx.square(x) }".into(),
+            serialized_functions: vec![],
+            setup: None,
+            default_mode: ExecMode::Fork,
+            compiled: None,
+        };
+        let host = spawn_library(WorkerId(0), image, registry, etx);
+        assert!(matches!(
+            erx.recv().unwrap(),
+            (_, _, LibraryToWorker::Ready)
+        ));
+        let out = invoke(&host, &erx, 1, "f", &[Value::Int(7)], ExecMode::Fork);
+        assert_eq!(out, Ok(Value::Int(49)));
         host.tx.send(WorkerToLibrary::Shutdown).unwrap();
     }
 

@@ -131,6 +131,11 @@ pub fn worker_engine(
                                 let _ = events.send((id, WorkerToManager::UnitDone { outcome }));
                             })
                             .expect("spawn task thread");
+                        // an exited thread keeps its stack until it is
+                        // joined: join finished ones now, not at shutdown
+                        for done in task_threads.extract_if(.., |t| t.is_finished()) {
+                            let _ = done.join();
+                        }
                         task_threads.push(t);
                     }
                     ManagerToWorker::Shutdown => break,

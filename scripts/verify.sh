@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full verification pass: release build, whole-workspace tests, clippy on
-# every target with warnings denied, a formatting check, the static
-# pre-flight passes (lint must find no errors in the shipped sources;
-# analyze must run clean and its hoisting report is kept as an artifact),
+# every target with warnings denied, a formatting check, the benchmark
+# harness's self-tests, the static pre-flight passes (lint must find no
+# errors in the shipped sources; analyze must run clean and its hoisting
+# report is kept as an artifact),
 # a determinism run (every section of `repro all`, swept in parallel,
 # must byte-match the committed golden output), the TCP loopback smoke
 # (a multi-process run over framed sockets must byte-match the in-process
@@ -17,6 +18,10 @@ cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
+
+# the benchmark harness is its own workspace: run its self-tests here so
+# a break in the API it drives shows up before the benchmark runs
+cargo test --release --offline --manifest-path vine-e2e/Cargo.toml
 
 # VM differential suite: the bytecode VM must stay bit-identical to the
 # tree-walking reference (proptest + hazard corpus + golden disassembly)

@@ -7,6 +7,11 @@
 //! enough for the runtime's two-arm loops) and runs each handler *outside*
 //! the internal wait loop, so `break`/`continue` inside a handler target
 //! the caller's enclosing loop exactly as with real crossbeam.
+//!
+//! `select!` is not off the hot path: the worker engine's loop over
+//! manager commands and library-daemon reports uses it, so every library
+//! invocation can wait out up to two 100 µs polls (one for the `Invoke`,
+//! one for its result) that a real multi-channel waker would not.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -177,8 +182,9 @@ pub mod channel {
     }
 
     /// Readiness-poll wait used by `select!` between scans. Short sleep
-    /// rather than a multi-channel waker: the runtime's select loops are
-    /// control-plane, not throughput-critical.
+    /// rather than a multi-channel waker. This is on the invocation path:
+    /// the worker engine's `select!` can sleep here once for an `Invoke`
+    /// and once for its result.
     #[doc(hidden)]
     pub fn __select_park() {
         std::thread::sleep(Duration::from_micros(100));
