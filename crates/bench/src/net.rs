@@ -5,7 +5,9 @@
 //! serving a fleet of live worker connections — 2, 64, 256, 1000 — with
 //! flat per-message cost, plus the serialize-once broadcast win
 //! ([`vine_proto::Frame`]): a library-image install fanned out to N
-//! workers encoded once instead of N times.
+//! workers encoded once instead of N times, and the wire codec's cost
+//! per message for the three frames an LNNI run ships: an `Invoke`, its
+//! `UnitDone`, and the library's `InstallLibrary`.
 //!
 //! The load generator is its own single-threaded epoll loop
 //! ([`EchoFleet`]): every client dials in, performs the `Join` handshake,
@@ -26,11 +28,13 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::time::{Duration, Instant};
-use vine_core::ids::{LibraryInstanceId, WorkerId};
+use vine_core::ids::{ContentHash, LibraryInstanceId, WorkerId};
 use vine_core::resources::Resources;
-use vine_core::task::ExecMode;
+use vine_core::task::{ExecMode, Outcome, UnitId};
+use vine_lang::{pickle, Engine, Interp, Value};
 use vine_proto::{
-    encode_frame, Frame, FrameDecoder, LibraryImage, ManagerToWorker, WorkerToManager,
+    decode_frame, encode_frame, CompiledBlob, Frame, FrameDecoder, LibraryImage, LibrarySetup,
+    ManagerToWorker, WorkerToManager,
 };
 use vine_runtime::{TcpTransport, Transport, TransportEvent, TransportStats};
 
@@ -349,6 +353,102 @@ impl FleetBench {
     }
 }
 
+// ---------------------------------------------------------------- codec
+
+/// The wire cost of one message: mean encode and decode time over many
+/// repetitions, and the frame's size.
+struct CodecCost {
+    message: &'static str,
+    encode_s: f64,
+    decode_s: f64,
+    reps: usize,
+    frame_bytes: usize,
+}
+
+/// The three frames an LNNI run ships, as the runtime builds them: the
+/// library install (source, setup arguments, compiled module), one
+/// `infer` invocation, and the worker's reply carrying its real result.
+fn lnni_frames() -> (ManagerToWorker, ManagerToWorker, WorkerToManager) {
+    let source = vine_apps::lnni::LNNI_SOURCE;
+    let setup = [Value::Int(3), Value::Int(32)];
+    let prog = vine_lang::parse(source).expect("LNNI parses");
+    let install = ManagerToWorker::InstallLibrary {
+        image: LibraryImage {
+            instance: LibraryInstanceId(1),
+            source: source.to_string(),
+            serialized_functions: vec![],
+            setup: Some(LibrarySetup {
+                function: "context_setup".into(),
+                args_blob: pickle::serialize_args(&setup).expect("setup args pickle"),
+            }),
+            default_mode: ExecMode::Direct,
+            compiled: Some(CompiledBlob {
+                source_digest: ContentHash::of_str(source),
+                bytes: vine_lang::compile_module(&prog, source).to_bytes(),
+            }),
+        },
+        stage: vec![],
+    };
+    let call = crate::live::lnni_call(7, "lnni").expect("LNNI args pickle");
+    let mut interp = Interp::with_registry(vine_apps::modules::full_registry());
+    interp.engine = Engine::Vm;
+    interp.exec_source(source).expect("LNNI loads");
+    interp
+        .call_global("context_setup", &setup)
+        .expect("LNNI context setup");
+    // the arguments `lnni_call(7, ..)` pickled: images 112..128
+    let result = interp
+        .call_global("infer", &[Value::Int(7 * 16), Value::Int(16)])
+        .expect("LNNI infers");
+    let done = WorkerToManager::UnitDone {
+        outcome: Outcome::ok(
+            UnitId::Call(call.id),
+            pickle::serialize_value(&result).expect("result pickles"),
+        ),
+    };
+    let invoke = ManagerToWorker::Invoke {
+        instance: LibraryInstanceId(1),
+        call,
+    };
+    (install, invoke, done)
+}
+
+/// Encode `msg` `reps` times, then decode the frame `reps` times.
+fn codec_cost<T>(message: &'static str, msg: &T, reps: usize) -> CodecCost
+where
+    T: serde::Serialize + serde::Deserialize + PartialEq + std::fmt::Debug,
+{
+    let frame = encode_frame(msg).expect("message encodes");
+    assert_eq!(&decode_frame::<T>(&frame).expect("frame decodes"), msg);
+    let started = Instant::now();
+    for _ in 0..reps {
+        std::hint::black_box(encode_frame(std::hint::black_box(msg)).expect("encodes"));
+    }
+    let encode_s = started.elapsed().as_secs_f64();
+    let started = Instant::now();
+    for _ in 0..reps {
+        std::hint::black_box(decode_frame::<T>(std::hint::black_box(&frame)).expect("decodes"));
+    }
+    let decode_s = started.elapsed().as_secs_f64();
+    CodecCost {
+        message,
+        encode_s,
+        decode_s,
+        reps,
+        frame_bytes: frame.len(),
+    }
+}
+
+/// Codec cost of the LNNI install, invocation and result frames.
+fn lnni_codec_costs(reps: usize) -> Vec<CodecCost> {
+    let (install, invoke, done) = lnni_frames();
+    vec![
+        codec_cost("lnni_invoke", &invoke, reps),
+        codec_cost("lnni_unit_done", &done, reps),
+        codec_cost("lnni_install_library", &install, reps),
+    ]
+}
+
 // ----------------------------------------------------------- experiment
 
 /// Source bytes of the broadcast image: big enough that serialization
@@ -426,18 +526,41 @@ pub fn perf_net(scale: f64, max_conns: usize) -> Table {
         assert_eq!(stats.handshake_rejects, 0, "no rejected handshakes");
     }
 
+    let reps = ((20_000f64 * scale).round() as usize).max(500);
+    let mut codec_json = Vec::new();
+    for c in lnni_codec_costs(reps) {
+        let (n, bytes) = (c.reps as f64, c.frame_bytes);
+        t.row(
+            format!("codec encode, {} ({bytes} B)", c.message),
+            vec![c.encode_s, n, n / c.encode_s],
+        );
+        t.row(
+            format!("codec decode, {} ({bytes} B)", c.message),
+            vec![c.decode_s, n, n / c.decode_s],
+        );
+        codec_json.push(format!(
+            "    {{ \"message\": \"{}\", \"encode_us\": {:.2}, \"decode_us\": {:.2}, \
+             \"frame_bytes\": {bytes} }}",
+            c.message,
+            c.encode_s / n * 1e6,
+            c.decode_s / n * 1e6,
+        ));
+    }
+
     t.note(format!(
         "echo fleet on one epoll client thread; a wave = 1 ping to every \
          conn + all echoes; ~{budget} messages per fleet size; broadcast \
-         payload {BROADCAST_PAYLOAD} B at the largest size"
+         payload {BROADCAST_PAYLOAD} B at the largest size; codec rows: \
+         {reps} encodes and decodes of each LNNI frame"
     ));
     t.note("wall-clock, varies run to run; writes BENCH_net.json");
 
     let json = format!(
         "{{\n  \"benchmark\": \"net_reactor_scaling\",\n  \"sizes\": [\n{}\n  ],\n{}  \
-         \"budget_messages\": {budget}\n}}\n",
+         \"codec\": [\n{}\n  ],\n  \"budget_messages\": {budget}\n}}\n",
         rows_json.join(",\n"),
         broadcast_json,
+        codec_json.join(",\n"),
     );
     if let Err(e) = std::fs::write("BENCH_net.json", json) {
         eprintln!("warning: could not write BENCH_net.json: {e}");

@@ -3,14 +3,18 @@
 //! Wire format, per frame:
 //!
 //! ```text
-//! +----------------+----------------------------------+
-//! | length: u32 LE | payload: `length` bytes of JSON  |
-//! +----------------+----------------------------------+
+//! +----------------+-------------------------------------------+
+//! | length: u32 LE | payload: `length` bytes, one binary value |
+//! +----------------+-------------------------------------------+
 //! ```
 //!
-//! The payload is the serde encoding of one message (this workspace's
-//! serde shim renders JSON text). Frames are self-delimiting, so a reader
-//! never needs lookahead, and every failure mode is explicit:
+//! The payload is the message's serde [`Value`](serde::Value) in a
+//! compact binary encoding (the crate's `codec` module): a tag byte per
+//! value, LEB128 varints for integers and lengths, and byte blobs carried
+//! raw. Both message planes (worker and routing) use this one format; a
+//! peer that frames JSON text is rejected by its first frame. Frames are
+//! self-delimiting, so a reader never needs lookahead, and every failure
+//! mode is explicit:
 //!
 //! * a stream that ends **between** frames is a clean close
 //!   ([`FrameError::Closed`] — how a worker's death is observed);
@@ -19,9 +23,12 @@
 //! * a header announcing more than [`MAX_FRAME`] bytes is
 //!   [`FrameError::Oversized`] and is rejected *before* any allocation —
 //!   a garbage header cannot make the receiver allocate gigabytes;
-//! * a payload that is not valid UTF-8/JSON or does not decode to the
-//!   expected message type is [`FrameError::Malformed`].
+//! * a payload that is not one well-formed binary value (unknown tag,
+//!   a length past the end, nesting deeper than 64 levels, invalid
+//!   UTF-8, trailing bytes) or does not decode to the expected message
+//!   type is [`FrameError::Malformed`].
 
+use crate::codec;
 use crate::messages::ManagerToWorker;
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
@@ -74,21 +81,9 @@ impl From<std::io::Error> for FrameError {
 
 /// Encode one message and write it as a frame.
 pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), FrameError> {
-    let payload = serde_json::to_string(msg)
-        .map_err(|e| FrameError::Malformed(e.to_string()))?
-        .into_bytes();
-    if payload.len() > MAX_FRAME {
-        return Err(FrameError::Oversized {
-            len: payload.len(),
-            max: MAX_FRAME,
-        });
-    }
     // one buffer, one write: header and payload must not straddle writes,
     // or Nagle's algorithm turns every frame into a delayed-ACK stall
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    w.write_all(&frame)?;
+    w.write_all(&encode_frame(msg)?)?;
     w.flush()?;
     Ok(())
 }
@@ -132,17 +127,30 @@ pub fn read_frame<T: Deserialize>(r: &mut impl Read) -> Result<T, FrameError> {
     if got < len {
         return Err(FrameError::Truncated { expected: len, got });
     }
-    let text =
-        std::str::from_utf8(&payload).map_err(|e| FrameError::Malformed(format!("utf-8: {e}")))?;
-    serde_json::from_str(text).map_err(|e| FrameError::Malformed(e.to_string()))
+    decode_payload(&payload)
 }
 
-/// Encode one message as a standalone frame (header + payload), e.g. for
-/// tests that want to corrupt specific bytes.
+fn decode_payload<T: Deserialize>(payload: &[u8]) -> Result<T, FrameError> {
+    let value = codec::decode(payload).map_err(FrameError::Malformed)?;
+    T::from_value(&value).map_err(|e| FrameError::Malformed(e.to_string()))
+}
+
+/// Encode one message as a standalone frame (header + payload): the
+/// bytes [`write_frame`] writes.
 pub fn encode_frame<T: Serialize>(msg: &T) -> Result<Vec<u8>, FrameError> {
-    let mut buf = Vec::new();
-    write_frame(&mut buf, msg)?;
-    Ok(buf)
+    // room for a typical invocation or result frame without regrowing
+    let mut frame = Vec::with_capacity(512);
+    frame.extend_from_slice(&[0; 4]);
+    codec::encode(&mut frame, &msg.to_value());
+    let len = frame.len() - 4;
+    if len > MAX_FRAME {
+        return Err(FrameError::Oversized {
+            len,
+            max: MAX_FRAME,
+        });
+    }
+    frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(frame)
 }
 
 /// Decode one message from a standalone frame.
@@ -176,10 +184,9 @@ pub struct Frame {
 impl Frame {
     /// Encode `msg` exactly as [`write_frame`] would, once.
     pub fn encode_once(msg: ManagerToWorker) -> Result<Frame, FrameError> {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &msg)?;
+        let bytes = encode_frame(&msg)?;
         Ok(Frame {
-            bytes: Arc::from(buf.into_boxed_slice()),
+            bytes: Arc::from(bytes),
             msg: Arc::new(msg),
         })
     }
@@ -280,10 +287,7 @@ impl FrameDecoder {
         if avail < 4 + len {
             return Ok(None);
         }
-        let payload = &self.buf[self.start + 4..self.start + 4 + len];
-        let text = std::str::from_utf8(payload)
-            .map_err(|e| FrameError::Malformed(format!("utf-8: {e}")))?;
-        let msg = serde_json::from_str(text).map_err(|e| FrameError::Malformed(e.to_string()))?;
+        let msg = decode_payload(&self.buf[self.start + 4..self.start + 4 + len])?;
         self.start += 4 + len;
         if self.start == self.buf.len() || self.start > COMPACT_THRESHOLD {
             self.buf.drain(..self.start);

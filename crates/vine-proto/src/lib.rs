@@ -14,10 +14,12 @@
 //!
 //! Both planes are plain serde types with no substrate baked in. The
 //! in-process runtime moves them over channels untouched; the TCP runtime
-//! moves them through [`framing`] — a length-prefixed codec with explicit
-//! maximum-frame, truncation, and garbage-frame error paths — so a worker
-//! can live in a different OS process (or machine) from its manager.
+//! moves them through [`framing`] — length-prefixed frames of a compact
+//! binary value encoding, with explicit maximum-frame, truncation, and
+//! garbage-frame error paths — so a worker can live in a different OS
+//! process (or machine) from its manager.
 
+mod codec;
 pub mod framing;
 pub mod library;
 pub mod messages;

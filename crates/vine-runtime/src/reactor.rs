@@ -40,9 +40,9 @@
 //!
 //! Crash semantics are unchanged from the threaded backend: a connection
 //! dying — graceful leave, `kill -9`, mid-frame truncation — surfaces as
-//! [`TransportEvent::Left`] and feeds the same requeue path. The wire
-//! format and the worker side ([`crate::transport::run_tcp_worker`]) are
-//! untouched: old workers dial new managers.
+//! [`TransportEvent::Left`] and feeds the same requeue path. Frames carry
+//! `vine-proto`'s binary payload encoding; a JSON-era peer is rejected at
+//! the handshake, since its `Join` frame does not decode.
 //!
 //! The machine is generic over its message plane ([`Plane`]): which type
 //! peers send, how their first frame admits them, what the hub broadcasts
@@ -303,7 +303,7 @@ impl<P: Plane> Hub<P> {
     pub fn send_to(&self, peer: P::Id, msg: &P::Down) -> Result<()> {
         let bytes =
             encode_frame(msg).map_err(|e| VineError::Protocol(format!("encoding frame: {e}")))?;
-        self.send_bytes(peer, Arc::from(bytes.into_boxed_slice()))
+        self.send_bytes(peer, Arc::from(bytes))
             .then_some(())
             .ok_or_else(|| VineError::Protocol(format!("peer {peer} lost")))
     }
@@ -385,7 +385,7 @@ impl Transport for TcpTransport {
     fn send(&mut self, worker: WorkerId, msg: ManagerToWorker) -> Result<()> {
         let bytes =
             encode_frame(&msg).map_err(|e| VineError::Protocol(format!("encoding frame: {e}")))?;
-        self.send_bytes(worker, Arc::from(bytes.into_boxed_slice()))
+        self.send_bytes(worker, Arc::from(bytes))
             .then_some(())
             .ok_or(VineError::WorkerLost(worker))
     }
@@ -460,6 +460,9 @@ const TOKEN_CONNS: u64 = 2;
 /// epoll re-reports whatever is left).
 const MAX_READS_PER_EVENT: usize = 16;
 
+/// Size of the reactor's one socket read buffer.
+const READ_BUF_BYTES: usize = 64 * 1024;
+
 /// Frames coalesced into one vectored write.
 const MAX_IOVECS: usize = 64;
 
@@ -511,6 +514,9 @@ struct Reactor<P: Plane> {
     admitted: u32,
     /// Set once `Shutdown` arrives: drain until this deadline, then exit.
     drain_until: Option<Instant>,
+    /// Every socket read lands here before its connection's decoder
+    /// copies it; allocated once, not per readiness event.
+    read_buf: Box<[u8]>,
 }
 
 impl<P: Plane> Reactor<P> {
@@ -535,6 +541,7 @@ impl<P: Plane> Reactor<P> {
             handshaking: 0,
             admitted: 0,
             drain_until: None,
+            read_buf: vec![0u8; READ_BUF_BYTES].into_boxed_slice(),
         })
     }
 
@@ -730,12 +737,11 @@ impl<P: Plane> Reactor<P> {
     }
 
     fn readable(&mut self, slot: usize) {
-        let mut scratch = [0u8; 64 * 1024];
         for _ in 0..MAX_READS_PER_EVENT {
             let Some(conn) = self.conns[slot].as_mut() else {
                 return;
             };
-            match conn.stream.read(&mut scratch) {
+            match conn.stream.read(&mut self.read_buf) {
                 Ok(0) => {
                     // peer closed; whether it is a crash or a graceful
                     // leave, the peer is gone
@@ -746,7 +752,7 @@ impl<P: Plane> Reactor<P> {
                     if let Some(g) = &conn.gauge {
                         g.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
                     }
-                    conn.decoder.extend(&scratch[..n]);
+                    conn.decoder.extend(&self.read_buf[..n]);
                     if !self.pump_decoder(slot) {
                         return;
                     }

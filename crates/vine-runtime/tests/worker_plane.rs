@@ -4,7 +4,8 @@
 //! disconnect mid-frame, a second `Join`, `LibraryReady` for an instance
 //! the sender does not host, forged completions. The run must finish with
 //! every unit completed exactly once with its correct result, and a peer
-//! that breaks the protocol must be dropped, not abort the run.
+//! that breaks the protocol must be dropped, not abort the run. A peer
+//! still framing JSON text is refused at the handshake.
 
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -17,7 +18,7 @@ use vine_core::ids::{InvocationId, LibraryInstanceId, WorkerId};
 use vine_core::resources::Resources;
 use vine_core::task::{ExecMode, FunctionCall, Outcome, UnitId, WorkUnit};
 use vine_lang::{pickle, ModuleRegistry, Value};
-use vine_proto::{read_frame, write_frame, ManagerToWorker, WorkerToManager};
+use vine_proto::{read_frame, write_frame, FrameError, ManagerToWorker, WorkerToManager};
 use vine_runtime::{
     decode_result, run_tcp_worker, Runtime, RuntimeConfig, TcpConfig, TcpTransport,
 };
@@ -93,6 +94,25 @@ fn dial(addr: SocketAddr, resources: Resources) -> (TcpStream, BufReader<TcpStre
         panic!("expected Welcome");
     };
     (writer, reader, worker)
+}
+
+/// Check that every unit completed exactly once with its correct result.
+fn assert_each_once(mut outcomes: Vec<Outcome>, units: u64) {
+    outcomes.sort_by_key(|o| o.unit);
+    let ids: Vec<UnitId> = outcomes.iter().map(|o| o.unit).collect();
+    let expected: Vec<UnitId> = (0..units).map(|i| UnitId::Call(InvocationId(i))).collect();
+    assert_eq!(ids, expected, "every unit completes exactly once");
+    for o in &outcomes {
+        let UnitId::Call(id) = o.unit else {
+            unreachable!()
+        };
+        assert_eq!(
+            decode_result(o).unwrap(),
+            Value::Int(7000 + id.0 as i64),
+            "{:?}",
+            o.unit
+        );
+    }
 }
 
 /// Read whatever the manager still sends until it closes the connection,
@@ -261,22 +281,7 @@ fn hostile_workers_lose_no_unit_and_abort_nothing() {
     std::thread::sleep(Duration::from_millis(20));
     let outcomes = rt.run_until_idle().unwrap();
 
-    let mut outcomes = outcomes;
-    outcomes.sort_by_key(|o| o.unit);
-    let ids: Vec<UnitId> = outcomes.iter().map(|o| o.unit).collect();
-    let expected: Vec<UnitId> = (0..UNITS).map(|i| UnitId::Call(InvocationId(i))).collect();
-    assert_eq!(ids, expected, "every unit completes exactly once");
-    for o in &outcomes {
-        let UnitId::Call(id) = o.unit else {
-            unreachable!()
-        };
-        assert_eq!(
-            decode_result(o).unwrap(),
-            Value::Int(7000 + id.0 as i64),
-            "{:?}",
-            o.unit
-        );
-    }
+    assert_each_once(outcomes, UNITS);
 
     // the violators and the peer that died mid-frame are gone; the
     // handshake deadline reaped the two that never joined
@@ -304,5 +309,59 @@ fn hostile_workers_lose_no_unit_and_abort_nothing() {
     if impostor.join().unwrap() {
         // it was dropped holding a unit, which ran again elsewhere
         assert!(requeues >= 1, "impostor's unit was not requeued");
+    }
+}
+
+#[test]
+fn json_era_peer_is_refused_at_the_handshake() {
+    let transport = TcpTransport::listen("127.0.0.1:0").unwrap();
+    let addr = transport.local_addr();
+
+    // dials first, so an admission would have given it the first id: a
+    // `Join` whose payload is the JSON text frames used to carry
+    let json = serde_json::to_string(&WorkerToManager::Join { resources: full() }).unwrap();
+    let mut stale = TcpStream::connect(addr).unwrap();
+    stale.write_all(&(json.len() as u32).to_le_bytes()).unwrap();
+    stale.write_all(json.as_bytes()).unwrap();
+    let mut stale = BufReader::new(stale);
+
+    let real: Vec<JoinHandle<()>> = (0..2)
+        .map(|_| {
+            std::thread::spawn(move || {
+                run_tcp_worker(addr, full(), ModuleRegistry::new()).unwrap();
+            })
+        })
+        .collect();
+    let cfg = RuntimeConfig {
+        workers: 2,
+        idle_timeout: Duration::from_secs(30),
+        ..Default::default()
+    };
+    let mut rt = Runtime::with_transport(cfg, Box::new(transport)).unwrap();
+    for l in 0..LIBS {
+        rt.install_library(spec(l), LIB_SOURCE, vec![], &[Value::Int(7)])
+            .unwrap();
+    }
+    let units = 32;
+    for i in 0..units {
+        rt.submit(WorkUnit::Call(call(i)));
+    }
+    assert_each_once(rt.run_until_idle().unwrap(), units);
+
+    // closed without a `Welcome`, counted, and never a worker
+    stale
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    assert!(matches!(
+        read_frame::<ManagerToWorker>(&mut stale),
+        Err(FrameError::Closed)
+    ));
+    let stats = rt.transport_stats();
+    assert_eq!(stats.handshake_rejects, 1);
+    assert_eq!(stats.workers.len(), 2, "only the real workers joined");
+    rt.shutdown();
+    for h in real {
+        h.join().unwrap();
     }
 }

@@ -33,6 +33,10 @@ for path in sorted(glob.glob('BENCH_*.json')):
         big = max(d['sizes'], key=lambda s: s['connections'])
         rows.append((path, name, f"msgs/s @ {big['connections']} conns",
                      big['msgs_per_sec'], None))
+        for c in d.get('codec', []):
+            rows.append((path, name,
+                         f"codec enc+dec us, {c['message']} ({c['frame_bytes']} B)",
+                         c['encode_us'] + c['decode_us'], None))
     elif name == 'shard_throughput':
         big = max(d['sweep'], key=lambda s: s['shards'])
         rows.append((path, name, f"units/s @ {big['shards']} shards (vs 1)",
@@ -40,11 +44,11 @@ for path in sorted(glob.glob('BENCH_*.json')):
     else:
         rows.append((path, name, '(unrecognized schema)', None, None))
 
-print(f"{'file':<18} {'benchmark':<22} {'headline':<38} {'value':>12} {'speedup':>8}")
+print(f"{'file':<18} {'benchmark':<22} {'headline':<50} {'value':>12} {'speedup':>8}")
 for path, name, head, value, sp in rows:
     v = f"{value:,.1f}" if isinstance(value, (int, float)) else '-'
     s = f"{sp:.2f}x" if isinstance(sp, (int, float)) else '-'
-    print(f"{path:<18} {name:<22} {head:<38} {v:>12} {s:>8}")
+    print(f"{path:<18} {name:<22} {head:<50} {v:>12} {s:>8}")
 print()
 print('speedup baselines are per-benchmark (see each file); '
       'regenerate with: repro perf [--sim|--lang|--net] / repro shard')

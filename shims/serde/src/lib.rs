@@ -10,6 +10,9 @@
 //! The wire behaviour mirrors serde's JSON conventions: structs are maps,
 //! newtype structs are transparent, unit enum variants are strings, and
 //! data-carrying variants are single-entry maps keyed by the variant name.
+//! Byte sequences (`Vec<u8>`, `[u8]`) lower to [`Value::Bytes`], which a
+//! binary codec ships raw and `serde_json` prints as the integer array
+//! serde prints for them.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -32,6 +35,8 @@ pub enum Value {
     /// Keys are full values so maps with non-string keys still lower;
     /// JSON rendering stringifies scalar keys and rejects composite ones.
     Map(Vec<(Value, Value)>),
+    /// A byte string: what `Vec<u8>` and `[u8]` lower to.
+    Bytes(Vec<u8>),
 }
 
 impl Value {
@@ -85,10 +90,32 @@ impl DeError {
 
 pub trait Serialize {
     fn to_value(&self) -> Value;
+
+    /// Lower a sequence of `Self` (the element hook `Vec<T>` and `[T]`
+    /// call): a [`Value::Seq`] of elements, except for `u8`, whose
+    /// sequences are [`Value::Bytes`].
+    #[doc(hidden)]
+    fn __seq_to_value(items: &[Self]) -> Value
+    where
+        Self: Sized,
+    {
+        Value::Seq(items.iter().map(Serialize::to_value).collect())
+    }
 }
 
 pub trait Deserialize: Sized {
     fn from_value(v: &Value) -> Result<Self, DeError>;
+
+    /// Read a sequence of `Self` (the element hook `Vec<T>` calls). `u8`
+    /// also accepts [`Value::Bytes`].
+    #[doc(hidden)]
+    fn __vec_from_value(v: &Value) -> Result<Vec<Self>, DeError> {
+        v.as_seq()
+            .ok_or_else(|| DeError(format!("expected sequence, got {v:?}")))?
+            .iter()
+            .map(Self::from_value)
+            .collect()
+    }
 }
 
 /// Helper used by derived code: fetch a struct field or error.
@@ -125,6 +152,20 @@ macro_rules! ser_int_signed {
     )*};
 }
 
+/// Any integer value that fits in the unsigned target type.
+fn unsigned_from_value<T: TryFrom<u64>>(v: &Value) -> Result<T, DeError> {
+    fn narrow<T: TryFrom<u64>>(wide: Option<u64>, n: impl fmt::Display) -> Result<T, DeError> {
+        wide.and_then(|w| T::try_from(w).ok())
+            .ok_or_else(|| DeError(format!("{n} out of range")))
+    }
+    match v {
+        Value::U64(n) => narrow(Some(*n), n),
+        Value::I64(n) => narrow(u64::try_from(*n).ok(), n),
+        Value::U128(n) => narrow(u64::try_from(*n).ok(), n),
+        other => Err(DeError(format!("expected integer, got {other:?}"))),
+    }
+}
+
 macro_rules! ser_int_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
@@ -132,24 +173,39 @@ macro_rules! ser_int_unsigned {
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::U64(n) => <$t>::try_from(*n)
-                        .map_err(|_| DeError(format!("{n} out of range"))),
-                    Value::I64(n) => u64::try_from(*n)
-                        .ok()
-                        .and_then(|n| <$t>::try_from(n).ok())
-                        .ok_or_else(|| DeError(format!("{n} out of range"))),
-                    Value::U128(n) => <$t>::try_from(u64::try_from(*n).map_err(|_| DeError(format!("{n} out of range")))?)
-                        .map_err(|_| DeError(format!("{n} out of range"))),
-                    other => Err(DeError(format!("expected integer, got {other:?}"))),
-                }
+                unsigned_from_value(v)
             }
         }
     )*};
 }
 
 ser_int_signed!(i8, i16, i32, i64, isize);
-ser_int_unsigned!(u8, u16, u32, u64, usize);
+ser_int_unsigned!(u16, u32, u64, usize);
+
+impl Serialize for u8 {
+    fn to_value(&self) -> Value {
+        Value::U64(u64::from(*self))
+    }
+
+    fn __seq_to_value(items: &[u8]) -> Value {
+        Value::Bytes(items.to_vec())
+    }
+}
+
+impl Deserialize for u8 {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        unsigned_from_value(v)
+    }
+
+    /// Bytes from a binary codec, or an integer array parsed from JSON.
+    fn __vec_from_value(v: &Value) -> Result<Vec<u8>, DeError> {
+        match v {
+            Value::Bytes(b) => Ok(b.clone()),
+            Value::Seq(items) => items.iter().map(u8::from_value).collect(),
+            other => Err(DeError(format!("expected bytes, got {other:?}"))),
+        }
+    }
+}
 
 impl Serialize for u128 {
     fn to_value(&self) -> Value {
@@ -314,23 +370,19 @@ impl<T: Deserialize> Deserialize for Arc<T> {
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+        T::__seq_to_value(self)
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_seq()
-            .ok_or_else(|| DeError(format!("expected sequence, got {v:?}")))?
-            .iter()
-            .map(T::from_value)
-            .collect()
+        T::__vec_from_value(v)
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+        T::__seq_to_value(self)
     }
 }
 
@@ -477,6 +529,36 @@ mod tests {
         );
         let t = (3u64, 1.5f64);
         assert_eq!(<(u64, f64)>::from_value(&t.to_value()).unwrap(), t);
+    }
+
+    #[test]
+    fn byte_sequences_lower_to_bytes() {
+        let blob = vec![1u8, 2, 255];
+        assert_eq!(blob.to_value(), Value::Bytes(blob.clone()));
+        assert_eq!(blob[..].to_value(), Value::Bytes(blob.clone()));
+        // bytes, or the integer array JSON parses to
+        assert_eq!(Vec::<u8>::from_value(&blob.to_value()).unwrap(), blob);
+        let ints = Value::Seq(vec![Value::I64(1), Value::U64(2), Value::I64(255)]);
+        assert_eq!(Vec::<u8>::from_value(&ints).unwrap(), blob);
+        assert!(Vec::<u8>::from_value(&Value::Seq(vec![Value::I64(256)])).is_err());
+
+        let nested = vec![blob.clone(), vec![]];
+        assert_eq!(
+            nested.to_value(),
+            Value::Seq(vec![Value::Bytes(blob.clone()), Value::Bytes(vec![])])
+        );
+        assert_eq!(
+            Vec::<Vec<u8>>::from_value(&nested.to_value()).unwrap(),
+            nested
+        );
+        assert_eq!(Some(blob.clone()).to_value(), Value::Bytes(blob.clone()));
+        // only `u8` elements take the byte path
+        let wide = vec![1u16, 2];
+        assert_eq!(
+            wide.to_value(),
+            Value::Seq(vec![Value::U64(1), Value::U64(2)])
+        );
+        assert!(Vec::<u16>::from_value(&Value::Bytes(vec![1])).is_err());
     }
 
     #[test]

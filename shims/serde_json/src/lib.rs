@@ -50,22 +50,14 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize)
         Value::U128(n) => out.push_str(&n.to_string()),
         Value::F64(x) => out.push_str(&format_f64(*x)),
         Value::Str(s) => write_string(out, s),
-        Value::Seq(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return Ok(());
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1)?;
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
-        }
+        Value::Seq(items) => write_seq(out, items.len(), indent, depth, |out, i| {
+            write_value(out, &items[i], indent, depth + 1)
+        })?,
+        // the integer array serde_json prints for a `Vec<u8>`
+        Value::Bytes(bytes) => write_seq(out, bytes.len(), indent, depth, |out, i| {
+            out.push_str(&bytes[i].to_string());
+            Ok(())
+        })?,
         Value::Map(entries) => {
             if entries.is_empty() {
                 out.push_str("{}");
@@ -88,6 +80,30 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize)
             out.push('}');
         }
     }
+    Ok(())
+}
+
+fn write_seq(
+    out: &mut String,
+    len: usize,
+    indent: Option<usize>,
+    depth: usize,
+    mut item: impl FnMut(&mut String, usize) -> Result<()>,
+) -> Result<()> {
+    if len == 0 {
+        out.push_str("[]");
+        return Ok(());
+    }
+    out.push('[');
+    for i in 0..len {
+        if i > 0 {
+            out.push(',');
+        }
+        newline_indent(out, indent, depth + 1);
+        item(out, i)?;
+    }
+    newline_indent(out, indent, depth);
+    out.push(']');
     Ok(())
 }
 
@@ -400,6 +416,63 @@ mod tests {
         let s = to_string(&data).unwrap();
         let back: Vec<(u64, String)> = from_str(&s).unwrap();
         assert_eq!(back, data);
+    }
+
+    /// The integer array serde prints for bytes, compact and pretty.
+    fn int_array(bytes: &[u8], pretty: bool) -> String {
+        let v = Value::Seq(bytes.iter().map(|&b| Value::U64(u64::from(b))).collect());
+        let mut out = String::new();
+        write_value(&mut out, &v, pretty.then_some(2), 0).unwrap();
+        out
+    }
+
+    #[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+    struct Blob {
+        name: String,
+        bytes: Vec<u8>,
+    }
+
+    #[test]
+    fn byte_vectors_print_as_integer_arrays() {
+        let bytes: Vec<u8> = vec![0, 7, 127, 128, 255];
+        let s = to_string(&bytes).unwrap();
+        assert_eq!(s, "[0,7,127,128,255]");
+        assert_eq!(s, int_array(&bytes, false));
+        assert_eq!(to_string_pretty(&bytes).unwrap(), int_array(&bytes, true));
+        assert_eq!(to_string(&Vec::<u8>::new()).unwrap(), "[]");
+        assert_eq!(from_str::<Vec<u8>>(&s).unwrap(), bytes);
+
+        let blob = Blob {
+            name: "b".into(),
+            bytes: bytes.clone(),
+        };
+        let s = to_string(&blob).unwrap();
+        assert_eq!(
+            s,
+            format!(r#"{{"name":"b","bytes":{}}}"#, int_array(&bytes, false))
+        );
+        assert_eq!(from_str::<Blob>(&s).unwrap(), blob);
+        let pretty = to_string_pretty(&blob).unwrap();
+        assert!(pretty.contains("\"bytes\": [\n    0,\n    7,"), "{pretty}");
+        assert_eq!(from_str::<Blob>(&pretty).unwrap(), blob);
+        // a byte out of range is an error, not a wrap
+        assert!(from_str::<Vec<u8>>("[1,256]").is_err());
+    }
+
+    #[test]
+    fn nested_and_optional_bytes_round_trip() {
+        let nested: Vec<Vec<u8>> = vec![vec![], vec![1, 2], vec![255]];
+        let s = to_string(&nested).unwrap();
+        assert_eq!(s, "[[],[1,2],[255]]");
+        assert_eq!(from_str::<Vec<Vec<u8>>>(&s).unwrap(), nested);
+        for opt in [None, Some(vec![9u8, 8])] {
+            let s = to_string(&opt).unwrap();
+            assert_eq!(from_str::<Option<Vec<u8>>>(&s).unwrap(), opt);
+        }
+        let wide: Vec<u16> = vec![1, 300, 65535];
+        let s = to_string(&wide).unwrap();
+        assert_eq!(s, "[1,300,65535]");
+        assert_eq!(from_str::<Vec<u16>>(&s).unwrap(), wide);
     }
 
     #[test]
